@@ -1,10 +1,13 @@
 """Hot numeric kernels with a numba fast path and a pure-numpy fallback.
 
 The Monte Carlo cost transform and the expected-cost curves over variation
-grids dominate runtime in the oracle and in incentive-compatibility sweeps.
-Both backends implement identical element-wise math; set ``FLEXCON_NO_NUMBA=1``
-to force the numpy path (it is also used automatically when numba is absent).
+grids dominate runtime in the oracle. Both backends implement identical
+element-wise math; set ``FLEXCON_NO_NUMBA=1`` to force the numpy path (it is
+also used automatically when numba is absent).
 ``benchmarks/bench_kernels.py`` times one against the other.
+
+The coefficient tables write each piece of the two expected-cost curves as
+A*d + B/d + C; the exact incentive check in ``design`` works on them.
 """
 
 from __future__ import annotations
@@ -91,16 +94,97 @@ def cross_cost_curve_numpy(deltas, m, p, delta_j, p_bar, center_j, k):
     ) / (4.0 * m)
 
     return np.select(
-        [
-            (lo_u >= lo_b) & (hi_u <= hi_b),
-            hi_u < lo_b,
-            lo_u > hi_b,
-            (lo_u <= lo_b) & (hi_u >= hi_b),
-            hi_u <= hi_b,
-        ],
+        _cross_cases(lo_u, hi_u, lo_b, hi_b),
         [inside, below, above, covers, lower_straddle],
         default=upper_straddle,
     )
+
+
+def _cross_cases(lo_u, hi_u, lo_b, hi_b):
+    """Conditions of the first five cross-cost cases, in priority order (inside,
+    below, above, covers, lower straddle); the upper straddle is the rest."""
+    return [
+        (lo_u >= lo_b) & (hi_u <= hi_b),
+        hi_u < lo_b,
+        lo_u > hi_b,
+        (lo_u <= lo_b) & (hi_u >= hi_b),
+        hi_u <= hi_b,
+    ]
+
+
+# ----------------------------------------------------------------------------
+# coefficient table: every curve piece as A*d + B/d + C
+# ----------------------------------------------------------------------------
+
+
+def own_cost_table(m, p, delta, p_bar, k):
+    """Coefficients (A, B, C) of own_cost_curve == A*d + B/d + C, shape (..., 2, 3).
+
+    Row 0 holds for d <= delta (flat), row 1 beyond the band width; the
+    arguments broadcast against each other.
+    """
+    out = np.zeros(np.broadcast_shapes(*map(np.shape, (m, p, delta, p_bar, k))) + (2, 3))
+    a = m * np.where(p_bar > k, k, p_bar) / 4.0
+    out[..., 0, 2] = m * p
+    out[..., 1, 0] = a
+    out[..., 1, 1] = a * delta * delta
+    out[..., 1, 2] = m * p - 2.0 * a * delta
+    return out
+
+
+def own_cost_piece(deltas, delta):
+    """Row of own_cost_table that holds at each variation value."""
+    return (np.asarray(deltas) > delta).astype(np.intp)
+
+
+def cross_cost_table(m, p, delta_j, p_bar, center_j, k):
+    """Coefficients (A, B, C) of cross_cost_curve == A*d + B/d + C, shape (..., 6, 3).
+
+    One row per demand-range/band case, in the order of cross_cost_case; with
+    q the effective penalty, [lo_b, hi_b] the band and mj its centre:
+
+    - inside: A = 0, B = 0, C = m p
+    - below:  A = 0, B = 0, C = lo_b p
+    - above:  A = 0, B = 0, C = (p - q) hi_b + q m
+    - covers: A = q m / 4, C = (q m + (2 p - q (1 + dj)) mj) / 2,
+      B = ((q (1 + dj)^2 - 4 dj p) mj^2 - 2 (q (1 + dj) - 2 dj p) m mj + q m^2) / (4 m)
+    - lower straddle: A = p m / 4, B = p (m - lo_b)^2 / (4 m), C = p (m + lo_b) / 2
+    - upper straddle: A = (q - p) m / 4, B = (q - p) (hi_b - m)^2 / (4 m),
+      C = (q m + p m + (p - q) hi_b) / 2
+
+    The arguments broadcast against each other.
+    """
+    dj, mj = delta_j, center_j
+    out = np.zeros(np.broadcast_shapes(*map(np.shape, (m, p, dj, p_bar, mj, k))) + (6, 3))
+    q = np.where(p_bar > k, k, p_bar)
+    lo_b = mj * (1.0 - dj)
+    hi_b = mj * (1.0 + dj)
+    out[..., 0, 2] = m * p
+    out[..., 1, 2] = lo_b * p
+    out[..., 2, 2] = (p - q) * hi_b + q * m
+    out[..., 3, 0] = q * m / 4.0
+    out[..., 3, 1] = (
+        (-4.0 * dj * p + q * (1.0 + dj) ** 2) * mj * mj
+        - 2.0 * (q * (1.0 + dj) - 2.0 * dj * p) * m * mj
+        + q * m * m
+    ) / (4.0 * m)
+    out[..., 3, 2] = (q * m + (2.0 * p - q * (1.0 + dj)) * mj) / 2.0
+    out[..., 4, 0] = p * m / 4.0
+    out[..., 4, 1] = p * (m - lo_b) ** 2 / (4.0 * m)
+    out[..., 4, 2] = p * (m + lo_b) / 2.0
+    out[..., 5, 0] = (q - p) * m / 4.0
+    out[..., 5, 1] = (q - p) * (hi_b - m) ** 2 / (4.0 * m)
+    out[..., 5, 2] = (q * m + p * m + (p - q) * hi_b) / 2.0
+    return out
+
+
+def cross_cost_case(deltas, m, delta_j, center_j):
+    """Row of cross_cost_table that cross_cost_curve uses at each variation value."""
+    d = np.asarray(deltas, dtype=np.float64)
+    cases = _cross_cases(m * (1.0 - d), m * (1.0 + d), center_j * (1.0 - delta_j),
+                         center_j * (1.0 + delta_j))
+    # the first case that holds; the upper straddle when none does
+    return np.argmax(np.stack([*cases, np.ones_like(cases[0])]), axis=0)
 
 
 # ----------------------------------------------------------------------------

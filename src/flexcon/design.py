@@ -1,18 +1,23 @@
 """Contract synthesis: the approximate menu, the robust discounted menu with
-automatic discount selection, the super-optimal benchmark, incentive
+automatic discount selection, the super-optimal benchmark, exact incentive
 verification, and gain-ratio bound certification.
+
+The incentive check is exact, not sampled: between known breakpoints every
+expected-cost curve is A*d + B/d + C, so the largest capped cost gap of each
+(type, foreign option) pair is found among finitely many closed-form points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from . import cost, profit
+from . import profit
 from ._integrate import ConvergenceError
-from ._kernels import cross_cost_curve, own_cost_curve
+from ._kernels import cross_cost_case, cross_cost_table, own_cost_piece, own_cost_table
 from .model import (
     BehaviorMode,
     ContractMenu,
@@ -28,11 +33,6 @@ AUTO = "auto"
 #: penalty price factor for menus that must sit in the high-penalty regime;
 #: any fixed multiple above 1 works, 2k keeps audits simple.
 HIGH_PENALTY_FACTOR = 2.0
-
-#: automatic discount search grid: p0 * 2**-t for t = 1..AUTO_EPSILON_STEPS
-AUTO_EPSILON_STEPS = 40
-
-IC_GRID_SIZE = 1001
 
 
 class BoundViolationError(Exception):
@@ -120,9 +120,10 @@ def robust_contract(
 
     The strict discount keeps subscribing customers strictly better off than
     the baseline, so adverse tie-breaking can only shuffle them between
-    contract options. AUTO searches a geometric grid from above for the
-    largest discount that (a) passes incentive verification and (b) does not
-    fall below the vanishing-discount worst-case profit.
+    contract options. AUTO searches the geometric grid p0 * 2**-t from above,
+    down to the tie tolerance, for the largest discount that (a) passes the
+    exact incentive check and (b) does not fall below the vanishing-discount
+    worst-case profit.
     """
     mode = BehaviorMode.pessimistic(params)
     if epsilon != AUTO:
@@ -137,8 +138,7 @@ def robust_contract(
     base = approx_menu(params, dist)
     floor = profit.pessimistic_profit_limit(base, params, dist)
     tried: list[tuple[float, str]] = []
-    for t in range(1, AUTO_EPSILON_STEPS + 1):
-        eps = params.p0 * 2.0**-t
+    for eps in _auto_discounts(params.p0, mode.tie_tol):
         menu = approx_menu(params, dist, epsilon=eps)
         if not _ic_ok(menu, params, dist):
             tried.append((eps, "incentive check failed"))
@@ -154,70 +154,117 @@ def robust_contract(
     )
 
 
-def _ic_grid(menu: ContractMenu, params: MarketParams, dist: TypeDistribution, grid_size: int):
-    pts = set(np.linspace(0.0, 1.0, grid_size).tolist())
-    for i, m in enumerate(dist.means):
-        pts.add(min(1.0, cost.threshold(menu[i], params)))
-        pts.add(min(1.0, menu[i].delta))
-        for j in range(len(menu)):
-            if j != i:
-                d_ij = cost.containment_delta(m, menu[j])
-                if 0.0 < d_ij < 1.0:
-                    pts.add(d_ij)
-    return np.array(sorted(pts), dtype=np.float64)
+def _auto_discounts(p0: float, tie_tol: float):
+    """The AUTO search grid p0 * 2**-t, t = 1, 2, ..., down to the last discount
+    above the tie tolerance: a smaller one leaves every price tied with the
+    baseline, where the worst-case profit collapses to the baseline profit."""
+    eps = 0.5 * p0
+    while eps > tie_tol:
+        yield eps
+        eps *= 0.5
 
 
-def _pair_gaps(grid, m_i, opt_i, opt_j, params):
-    own = own_cost_curve(grid, m_i, opt_i.p, opt_i.delta, opt_i.p_bar, params.k)
-    other = cross_cost_curve(
-        grid, m_i, opt_j.p, opt_j.delta, opt_j.p_bar, opt_j.center, params.k
-    )
-    cap = m_i * params.p0
-    return np.minimum(own, cap) - np.minimum(other, cap)
+@lru_cache(maxsize=32)
+def _ic_pieces(means: tuple[float, ...], bands: tuple[tuple[float, float, float], ...], k: float):
+    """The price-free part of the incentive check, shared by every discount the
+    AUTO search tries on one menu geometry.
+
+    For each (type i, foreign option j) pair, [0, 1] is cut at the own band
+    width delta_i and the four demand-range/band case boundaries of option j.
+    On every piece both the own-cost and the cross-cost curve are
+    A*d + B/d + C with coefficients linear in the option's price, stored as
+    coef0 + p*coef1. `bands` holds (delta, p_bar, center) per option.
+    Returns i, j, m_i (P,), lo, hi (piece, P), coef0, coef1 (coefficient,
+    curve, piece, P), and the curve's price index (curve, 1, P).
+    """
+    i, j = np.nonzero(~np.eye(len(bands), dtype=bool))
+    delta, p_bar, center = np.array(bands).T
+    m = np.asarray(means)[i]
+    lo_b = center[j] * (1.0 - delta[j]) / m
+    hi_b = center[j] * (1.0 + delta[j]) / m
+    ends = np.broadcast_to([[0.0], [1.0]], (2, len(i)))
+    cuts = np.vstack([ends, delta[i], 1.0 - lo_b, hi_b - 1.0, lo_b - 1.0, 1.0 - hi_b])
+    cuts = np.sort(np.clip(cuts, 0.0, 1.0), axis=0)
+    lo, hi = cuts[:-1], cuts[1:]
+    mid = 0.5 * (lo + hi)
+    pair = np.arange(len(i))
+
+    p = np.array([[0.0], [1.0]])  # tables at prices 0 and 1
+    own = own_cost_table(m, p, delta[i], p_bar[i], k)[:, pair, own_cost_piece(mid, delta[i])]
+    cross = cross_cost_table(m, p, delta[j], p_bar[j], center[j], k)[
+        :, pair, cross_cost_case(mid, m, delta[j], center[j])
+    ]
+    coef0, coef1 = np.moveaxis(np.stack([own, cross], axis=1), -1, 1)
+    out = (i, j, m, lo, hi, coef0, coef1 - coef0, np.stack([i, j])[:, None])
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
-def _ic_ok(
-    menu: ContractMenu,
-    params: MarketParams,
-    dist: TypeDistribution,
-    grid_size: int = IC_GRID_SIZE,
-) -> bool:
-    grid = _ic_grid(menu, params, dist, grid_size)
-    tol = 1e-9 * params.p0
-    for i, m_i in enumerate(dist.means):
-        for j in range(len(menu)):
-            if j == i:
-                continue
-            if np.any(_pair_gaps(grid, m_i, menu[i], menu[j], params) > tol):
-                return False
-    return True
+def _worst_gaps(menu: ContractMenu, params: MarketParams, dist: TypeDistribution):
+    """Capped cost gap at every candidate worst point of every piece.
+
+    Each piece of _ic_pieces is split again where a curve meets the baseline
+    cost m_i*p0, so the capped gap min(own, cap) - min(cross, cap) has one
+    closed form per sub-piece and peaks at an end of it or at a stationary
+    point sqrt(B/A) of own, cross or own - cross. Returns i, j (P,) and the
+    candidate points and their gaps, shape (candidate, sub-piece, piece, P);
+    empty sub-pieces have gaps of -inf.
+    """
+    bands = tuple((o.delta, o.p_bar, o.center) for o in menu)
+    i, j, m, lo, hi, coef0, coef1, which = _ic_pieces(dist.means, bands, params.k)
+    price = np.array([o.p for o in menu])[which]
+    a_, b_, c_ = coef0 + price * coef1  # A, B, C of own and cross, (curve, piece, P)
+    cap = m * params.p0
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # both roots of A*d**2 + (C - cap)*d + B = 0 (NaN or inf when absent)
+        lin = c_ - cap
+        t = -0.5 * (lin + np.copysign(np.sqrt(lin * lin - 4.0 * a_ * b_), lin))
+        roots = _clip(np.concatenate([t / a_, b_ / t]), lo, hi)
+        sub = np.sort(np.concatenate([lo[None], roots, hi[None]]), axis=0)
+        a, b = sub[:-1], sub[1:]
+        stationary = np.sqrt(np.concatenate([b_ / a_, [(b_[0] - b_[1]) / (a_[0] - a_[1])]]))
+        cand = np.concatenate([a[None], b[None], _clip(stationary[:, None], a, b)])
+        inv = 1.0 / np.where(cand > 0.0, cand, np.inf)
+        a_, b_, c_ = (x[:, None, None] for x in (a_, b_, c_))
+        own_cost, cross_cost = np.minimum(a_ * cand + b_ * inv + c_, cap)
+    return i, j, cand, np.where(b > a, own_cost - cross_cost, -np.inf)
+
+
+def _clip(x, lo, hi):
+    """x clipped to [lo, hi]; NaN goes to lo."""
+    return np.fmin(np.fmax(x, lo), hi)
+
+
+def _ic_ok(menu: ContractMenu, params: MarketParams, dist: TypeDistribution) -> bool:
+    """True when verify_ic finds no violation."""
+    gaps = _worst_gaps(menu, params, dist)[3]
+    return not np.any(gaps > 1e-9 * params.p0)
 
 
 def verify_ic(
     menu: ContractMenu,
     params: MarketParams,
     dist: TypeDistribution,
-    grid_size: int = IC_GRID_SIZE,
 ) -> tuple[bool, list[ICViolation]]:
-    """Check that no type prefers another type's option anywhere on a variation grid.
+    """Check exactly that no type prefers another type's option at any variation.
 
-    The grid is uniform with grid_size points plus every analytic breakpoint
-    (band widths, thresholds, containment bounds); candidate costs are capped
-    at the baseline cost on both sides. Returns every violating
-    (type, option, variation, gap) tuple.
+    Costs are capped at the baseline cost on both sides. The variation range
+    [0, 1] of each (type, foreign option) pair splits into pieces on which the
+    capped gap has one closed form (see _worst_gaps); every piece whose worst
+    gap exceeds 1e-9*p0 is reported once, as (type, option, variation, gap) at
+    its worst point.
     """
-    if grid_size < 2:
-        raise ValueError("grid_size must be at least 2")
-    grid = _ic_grid(menu, params, dist, grid_size)
-    tol = 1e-9 * params.p0
-    violations: list[ICViolation] = []
-    for i, m_i in enumerate(dist.means):
-        for j in range(len(menu)):
-            if j == i:
-                continue
-            gaps = _pair_gaps(grid, m_i, menu[i], menu[j], params)
-            for idx in np.nonzero(gaps > tol)[0]:
-                violations.append(ICViolation(i, j, float(grid[idx]), float(gaps[idx])))
+    i, j, cand, gaps = _worst_gaps(menu, params, dist)
+    at = np.argmax(gaps, axis=0)[None]
+    # (sub-piece, piece, pair) -> (pair, piece, sub-piece): order of (i, j, variation)
+    where, worst = (np.take_along_axis(x, at, 0)[0].T for x in (cand, gaps))
+    bad = worst > 1e-9 * params.p0
+    violations = [
+        ICViolation(int(i[r]), int(j[r]), float(d), float(g))
+        for r, d, g in zip(np.nonzero(bad)[0], where[bad], worst[bad])
+    ]
     return (not violations, violations)
 
 

@@ -272,7 +272,7 @@ def test_acceptance_07_incentive_verification(instance_bank):
         7,
         "approximate and robust menus are incentive compatible",
         violations == 0,
-        f"{violations} grid violations over {N_INSTANCES} instances",
+        f"{violations} violations over {N_INSTANCES} instances",
         t0,
     )
 

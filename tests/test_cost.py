@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_rng, sample_instance
-from flexcon import cost, design, oracle
+from flexcon import _kernels, cost, design, oracle
 from flexcon.model import (
     BASELINE,
     BehaviorMode,
@@ -147,6 +147,45 @@ def test_classify_cross_range_cases():
     assert cost.classify_cross_range(2.8, 0.5, o).case == cost.CASE_D
     assert cost.classify_cross_range(2.0, 0.9, o).case == cost.CASE_E
     assert cost.classify_cross_range(5.0, 0.2, o).case == cost.CASE_F
+
+
+@pytest.mark.parametrize("p_bar", [5.0, 1.5])  # high (p_bar > k) and low penalty
+def test_cross_cost_table_matches_kernel_in_every_case(p_bar):
+    k, o = 2.5, opt(1.0, 0.5, p_bar, 2.0)  # band [1, 3]
+    # the cost.classify_cross_range examples, one per case, in table row order
+    examples = [(2.0, 0.2), (0.5, 0.2), (5.0, 0.2), (2.0, 0.9), (1.2, 0.5), (2.8, 0.5)]
+    geometry = [cost.CASE_B, cost.CASE_A, cost.CASE_F, cost.CASE_E, cost.CASE_C, cost.CASE_D]
+    for row, ((m, d), case) in enumerate(zip(examples, geometry)):
+        assert cost.classify_cross_range(m, d, o).case == case
+        assert _kernels.cross_cost_case(d, m, o.delta, o.center) == row
+    # every case across a sweep of means and variations
+    d = np.linspace(1e-3, 1.0, 400)
+    seen = set()
+    for m in np.linspace(0.3, 6.0, 58):
+        case = _kernels.cross_cost_case(d, m, o.delta, o.center)
+        a, b, c = _kernels.cross_cost_table(m, o.p, o.delta, o.p_bar, o.center, k)[case].T
+        np.testing.assert_allclose(
+            a * d + b / d + c,
+            _kernels.cross_cost_curve(d, m, o.p, o.delta, o.p_bar, o.center, k),
+            rtol=1e-12,
+            atol=0.0,
+        )
+        seen.update(case.tolist())
+    assert seen == set(range(6))
+
+
+@pytest.mark.parametrize("p_bar", [5.0, 1.5])
+def test_own_cost_table_matches_kernel_on_both_pieces(p_bar):
+    k, m, p, delta = 2.5, 1.7, 1.0, 0.4
+    d = np.linspace(1e-3, 1.0, 1000)
+    table = _kernels.own_cost_table(m, p, delta, p_bar, k)
+    piece = _kernels.own_cost_piece(d, delta)
+    assert set(np.unique(piece)) == {0, 1}
+    a, b, c = table[piece].T
+    np.testing.assert_allclose(
+        a * d + b / d + c, _kernels.own_cost_curve(d, m, p, delta, p_bar, k),
+        rtol=1e-12, atol=0.0,
+    )
 
 
 # ---------------------------------------------------------------------------

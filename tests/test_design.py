@@ -1,8 +1,11 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import make_rng, sample_instance
-from flexcon import cost, design, profit
+from flexcon import _kernels, cost, design, profit
 from flexcon._integrate import ConvergenceError
 from flexcon.model import (
     BehaviorMode,
@@ -169,30 +172,194 @@ def test_verify_ic_passes_for_canonical_menus(two_type):
     assert ok
 
 
-def test_verify_ic_locates_inflated_band_violation(two_type):
-    params, dist = two_type
+def _inflated_band_menu(params):
+    # the top band is inflated so the small type keeps fitting beyond its own width
     eps = 0.01 * params.p0
-    # inflate the top band so the small type keeps fitting beyond its own width
-    menu = ContractMenu(
+    return ContractMenu(
         (
             ContractOption(params.p0 - eps, 0.7, 2.0 * params.k, 1.0),
             ContractOption(params.p0 - eps, 0.9, 2.0 * params.k, 1.2),
         )
     )
+
+
+def test_verify_ic_locates_inflated_band_violation(two_type):
+    params, dist = two_type
+    menu = _inflated_band_menu(params)
     d_12 = cost.containment_delta(1.0, menu[1])
     assert d_12 > menu[0].delta
     ok, violations = design.verify_ic(menu, params, dist)
     assert not ok
+    # on (delta_0, d_th] the own cost rises to the baseline cost while the
+    # foreign option still holds the whole demand range: the worst point is
+    # the threshold itself, where the gap reaches m_0 * eps
     d_th = cost.threshold(menu[0], params)
     assert any(
-        v.i == 0 and v.j == 1 and menu[0].delta < v.delta < d_th for v in violations
+        v.i == 0 and v.j == 1 and menu[0].delta < v.delta
+        and v.delta == pytest.approx(d_th, rel=1e-12)
+        for v in violations
+    )
+    worst = max(v.gap for v in violations if (v.i, v.j) == (0, 1))
+    assert worst == pytest.approx(1.0 * (params.p0 - menu[0].p), rel=1e-12)
+
+
+def _capped_gap(menu, params, dist, i, j, d):
+    m, cap = dist.means[i], dist.means[i] * params.p0
+    own = cost.expected_cost_for(m, d, menu[i], params.k)
+    other = cost.expected_cost_for(m, d, menu[j], params.k)
+    return min(own, cap) - min(other, cap)
+
+
+def test_verify_ic_reports_the_capped_gap_at_its_point(two_type):
+    params, dist = two_type
+    menus = [(_inflated_band_menu(params), params, dist)]
+    rng = make_rng(41)
+    for _ in range(6):
+        p, d = sample_instance(rng)
+        menus.append((_deep_cut_menu(p, d, rng), p, d))
+    reported = 0
+    for menu, p, d in menus:
+        _, violations = design.verify_ic(menu, p, d)
+        for v in violations:
+            assert v.gap > 1e-9 * p.p0
+            assert v.gap == pytest.approx(
+                _capped_gap(menu, p, d, v.i, v.j, v.delta), rel=1e-9, abs=1e-12 * p.p0
+            )
+        reported += len(violations)
+    assert reported > len(menus)
+
+
+# ---------------------------------------------------------------------------
+# the exact incentive check against a dense grid
+# ---------------------------------------------------------------------------
+
+DENSE_POINTS = 100_001
+
+
+def _grid_gaps(menu, params, dist, grid):
+    """Capped cost gap of every (type, foreign option) pair on a variation grid."""
+    k = params.k
+    for i, m in enumerate(dist.means):
+        own = _kernels.own_cost_curve(grid, m, menu[i].p, menu[i].delta, menu[i].p_bar, k)
+        cap = m * params.p0
+        for j, o in enumerate(menu):
+            if j != i:
+                other = _kernels.cross_cost_curve(grid, m, o.p, o.delta, o.p_bar, o.center, k)
+                yield np.minimum(own, cap) - np.minimum(other, cap)
+
+
+def _dense_pair_max(menu, params, dist):
+    grid = np.linspace(0.0, 1.0, DENSE_POINTS)
+    return np.array([g.max() for g in _grid_gaps(menu, params, dist, grid)])
+
+
+def _deep_cut_menu(params, dist, rng):
+    """Approximate menu with one option cut far below the others' price."""
+    menu = list(design.approx_menu(params, dist))
+    j = int(rng.integers(len(menu)))
+    menu[j] = replace(menu[j], p=menu[j].p * rng.uniform(0.5, 0.9))
+    return ContractMenu(tuple(menu))
+
+
+def _random_menu(params, dist, rng):
+    """Options on the type means with random prices, widths and penalty prices
+    (either penalty regime)."""
+    return ContractMenu(
+        tuple(
+            ContractOption(
+                params.p0 * rng.uniform(0.7, 1.0),
+                rng.uniform(0.0, 1.0),
+                params.k * rng.uniform(0.3, 2.0),
+                m,
+            )
+            for m in dist.means
+        )
     )
 
 
-def test_verify_ic_grid_size_guard(two_type):
-    params, dist = two_type
-    with pytest.raises(ValueError):
-        design.verify_ic(design.approx_menu(params, dist), params, dist, grid_size=1)
+def test_exact_ic_agrees_with_dense_grid():
+    rng = make_rng(43)
+    verdicts = []
+    for _ in range(8):
+        params, dist = sample_instance(rng)
+        menus = [
+            design.approx_menu(params, dist),
+            design.approx_menu(params, dist, epsilon=params.p0 * rng.uniform(0.01, 0.5)),
+            design.robust_contract(params, dist).menu,
+            _deep_cut_menu(params, dist, rng),
+            _random_menu(params, dist, rng),
+        ]
+        for menu in menus:
+            # per (type, foreign option) pair, in the order of the exact check
+            exact = design._worst_gaps(menu, params, dist)[3].max(axis=(0, 1, 2))
+            dense = _dense_pair_max(menu, params, dist)
+            assert np.all(exact >= dense - 1e-12 * params.p0 * dist.m_max)
+            ok = design._ic_ok(menu, params, dist)
+            assert ok == bool(np.all(dense <= 1e-9 * params.p0))
+            assert ok == design.verify_ic(menu, params, dist)[0]
+            verdicts.append(ok)
+    assert 0 < verdicts.count(False) < len(verdicts)
+
+
+def test_exact_ic_finds_violation_between_old_grid_points():
+    params = MarketParams(p0=10.0, k=20.0, c0=1.0, c_hat=2.0, N=1)
+    dist = TypeDistribution((1.0, 1.11), (0.5, 0.5))
+    # type 0 runs a low-penalty option; the price is tuned so that its gap to
+    # option 1 peaks 3e-8 above zero, at an interior stationary point
+    menu = ContractMenu(
+        (
+            ContractOption(8.53479643983336, 0.07, 15.6, 1.0),
+            ContractOption(8.42, 0.08, 18.2, 1.11),
+        )
+    )
+    ok, violations = design.verify_ic(menu, params, dist)
+    assert not ok
+    assert [(v.i, v.j) for v in violations] == [(0, 1)]
+    (v,) = violations
+    assert 347 < 1000 * v.delta < 348
+    assert v.gap == pytest.approx(_capped_gap(menu, params, dist, 0, 1, v.delta), rel=1e-6)
+    # the former grid: 1001 uniform points plus the analytic breakpoints
+    old = set(np.linspace(0.0, 1.0, 1001).tolist())
+    for i, m in enumerate(dist.means):
+        old.update({min(1.0, cost.threshold(menu[i], params)), menu[i].delta})
+        old.update(
+            d for j, o in enumerate(menu) if j != i
+            if 0.0 < (d := cost.containment_delta(m, o)) < 1.0
+        )
+    old = np.array(sorted(old))
+    assert max(float(g.max()) for g in _grid_gaps(menu, params, dist, old)) <= 1e-9 * params.p0
+
+
+def test_exact_ic_single_type_has_no_pairs():
+    params = MarketParams(p0=10.0, k=20.0, c0=1.0, c_hat=2.0, N=1)
+    dist = TypeDistribution((3.0,), (1.0,))
+    menu = design.approx_menu(params, dist, epsilon=0.5 * params.p0)
+    assert design._ic_ok(menu, params, dist)
+    assert design.verify_ic(menu, params, dist) == (True, [])
+
+
+def test_auto_search_stops_at_the_tie_tolerance():
+    # no discount serves this instance: at every step above the tie tolerance
+    # the worst-case profit stays just below its vanishing-discount limit
+    # (0.0044 short at the last one); smaller steps tie every price with the
+    # baseline and are not tried
+    params = MarketParams(
+        p0=89.2942300900537, k=754.8933838803638, c0=11.34908618739162,
+        c_hat=4.2587557259157105, N=19,
+    )
+    dist = TypeDistribution(
+        (6.707674375458987, 44.659650176148986, 333.74706953299506, 1310.9971000558642,
+         6271.843865834133, 25660.2558130084),
+        (0.047272574091640304, 0.054444833431478205, 0.016506200882038368,
+         0.7720179679736191, 0.10971185163894842, 4.657198227560236e-05),
+    )
+    tie_tol = BehaviorMode.pessimistic(params).tie_tol
+    with pytest.raises(ConvergenceError) as err:
+        design.robust_contract(params, dist)
+    tried = [float(e) for e in re.findall(r"eps=([-+.e0-9]+):", str(err.value))]
+    assert tried == pytest.approx([params.p0 * 2.0**-t for t in range(25, 30)], rel=1e-3)
+    assert all(e > tie_tol for e in tried)
+    assert "incentive check failed" not in str(err.value)
 
 
 # ---------------------------------------------------------------------------
