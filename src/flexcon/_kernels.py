@@ -1,10 +1,8 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels: element-wise numpy math over Monte Carlo draws and
+variation grids.
 
 The Monte Carlo cost transform and the expected-cost curves over variation
-grids dominate runtime in the oracle. Both backends implement identical
-element-wise math; set ``FLEXCON_NO_NUMBA=1`` to force the numpy path (it is
-also used automatically when numba is absent).
-``benchmarks/bench_kernels.py`` times one against the other.
+grids dominate runtime in the oracle.
 
 The coefficient tables write each piece of the two expected-cost curves as
 A*d + B/d + C; the exact incentive check in ``design`` works on them.
@@ -12,13 +10,10 @@ A*d + B/d + C; the exact incentive check in ``design`` works on them.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-# ----------------------------------------------------------------------------
-# pure-numpy backend
-# ----------------------------------------------------------------------------
+#: the only backend; kept as a name for tools that report it
+BACKEND = "numpy"
 
 
 def _respond(x, p_bar, k, lo, hi):
@@ -28,7 +23,7 @@ def _respond(x, p_bar, k, lo, hi):
     return xp
 
 
-def customer_cost_numpy(x, p, delta, p_bar, center, k):
+def customer_cost(x, p, delta, p_bar, center, k):
     """Total per-draw customer cost: billed amount plus elasticity penalty."""
     lo = center * (1.0 - delta)
     hi = center * (1.0 + delta)
@@ -37,7 +32,7 @@ def customer_cost_numpy(x, p, delta, p_bar, center, k):
     return billed + k * np.maximum(x - xp, 0.0)
 
 
-def payment_energy_numpy(x, p, delta, p_bar, center, k):
+def payment_energy(x, p, delta, p_bar, center, k):
     """Per-draw payment to the supplier and adjusted energy drawn."""
     lo = center * (1.0 - delta)
     hi = center * (1.0 + delta)
@@ -46,58 +41,86 @@ def payment_energy_numpy(x, p, delta, p_bar, center, k):
     return billed, xp
 
 
-def own_cost_curve_numpy(deltas, m, p, delta, p_bar, k):
+def own_cost_curve(deltas, m, p, delta, p_bar, k):
     """Expected cost of a type-m customer on its own option, per variation value."""
     q = k if p_bar > k else p_bar
     d = np.asarray(deltas, dtype=np.float64)
-    dsafe = np.where(d > 0.0, d, 1.0)
-    over = m * p + (m * q / (4.0 * dsafe)) * (d - delta) ** 2
-    return np.where(d <= delta, m * p, over)
+    flat = d.reshape(-1)
+    out = np.full(flat.shape, m * p)
+    over = np.flatnonzero(~(flat <= delta))  # a NaN variation gets the formula: NaN
+    if over.size:
+        dv = flat[over]
+        out[over] = m * p + (m * q / (4.0 * _nonzero(dv))) * (dv - delta) ** 2
+    return out.reshape(d.shape)
 
 
-def cross_cost_curve_numpy(deltas, m, p, delta_j, p_bar, center_j, k):
+def cross_cost_curve(deltas, m, p, delta_j, p_bar, center_j, k):
     """Expected cost of a type-m customer on another type's option, per variation value.
 
     Piecewise in the relation of the demand range [m(1-D), m(1+D)] to the
     option band; boundary points resolve to the formula approached from
-    inside the band (all branches are continuous where they meet).
+    inside the band (all branches are continuous where they meet). Each value
+    is computed only by the formula of its own case.
     """
     q = k if p_bar > k else p_bar
     d = np.asarray(deltas, dtype=np.float64)
-    lo_u = m * (1.0 - d)
-    hi_u = m * (1.0 + d)
     lo_b = center_j * (1.0 - delta_j)
     hi_b = center_j * (1.0 + delta_j)
-    dsafe = np.where(d > 0.0, d, 1.0)
     mj = center_j
 
-    inside = m * p + 0.0 * d
-    below = lo_b * p + 0.0 * d
-    above = (p - q) * hi_b + q * m + 0.0 * d
-    covers = (
-        q * m * m * d
-        + ((-4.0 * delta_j * p + q * (1.0 + delta_j) ** 2) * mj * mj
-           - 2.0 * (q * (1.0 + delta_j) - 2.0 * delta_j * p) * m * mj
-           + q * m * m) / dsafe
-        + 2.0 * q * m * m
-        + 2.0 * (-q * (1.0 + delta_j) + 2.0 * p) * m * mj
-    ) / (4.0 * m)
-    lower_straddle = (p / (4.0 * m)) * (
-        m * m * d + (m - lo_b) ** 2 / dsafe + 2.0 * m * m + 2.0 * m * lo_b
-    )
-    upper_straddle = (
-        (q - p) * m * m * d
-        + (q - p) * (hi_b - m) ** 2 / dsafe
-        + 2.0 * q * m * m
-        + 2.0 * p * m * m
-        + 2.0 * (p - q) * m * hi_b
-    ) / (4.0 * m)
+    def inside(d):
+        return m * p + 0.0 * d
 
-    return np.select(
-        _cross_cases(lo_u, hi_u, lo_b, hi_b),
-        [inside, below, above, covers, lower_straddle],
-        default=upper_straddle,
-    )
+    def below(d):
+        return lo_b * p + 0.0 * d
+
+    def above(d):
+        return (p - q) * hi_b + q * m + 0.0 * d
+
+    def covers(d):
+        return (
+            q * m * m * d
+            + ((-4.0 * delta_j * p + q * (1.0 + delta_j) ** 2) * mj * mj
+               - 2.0 * (q * (1.0 + delta_j) - 2.0 * delta_j * p) * m * mj
+               + q * m * m) / _nonzero(d)
+            + 2.0 * q * m * m
+            + 2.0 * (-q * (1.0 + delta_j) + 2.0 * p) * m * mj
+        ) / (4.0 * m)
+
+    def lower_straddle(d):
+        return (p / (4.0 * m)) * (
+            m * m * d + (m - lo_b) ** 2 / _nonzero(d) + 2.0 * m * m + 2.0 * m * lo_b
+        )
+
+    def upper_straddle(d):
+        return (
+            (q - p) * m * m * d
+            + (q - p) * (hi_b - m) ** 2 / _nonzero(d)
+            + 2.0 * q * m * m
+            + 2.0 * p * m * m
+            + 2.0 * (p - q) * m * hi_b
+        ) / (4.0 * m)
+
+    flat = d.reshape(-1)
+    out = np.empty(flat.shape)
+    rest = np.ones(flat.shape, dtype=bool)
+    cases = _cross_cases(m * (1.0 - flat), m * (1.0 + flat), lo_b, hi_b)
+    for cond, formula in zip(cases, (inside, below, above, covers, lower_straddle)):
+        sel = rest & cond
+        if sel.any():
+            pos = np.flatnonzero(sel)
+            out[pos] = formula(flat[pos])
+            rest &= ~cond  # a case that holds nowhere leaves rest as it is
+            if not rest.any():
+                return out.reshape(d.shape)
+    pos = np.flatnonzero(rest)
+    out[pos] = upper_straddle(flat[pos])
+    return out.reshape(d.shape)
+
+
+def _nonzero(d):
+    """d with zeros replaced by 1, so the B/d terms never divide by zero."""
+    return np.where(d > 0.0, d, 1.0)
 
 
 def _cross_cases(lo_u, hi_u, lo_b, hi_b):
@@ -185,122 +208,3 @@ def cross_cost_case(deltas, m, delta_j, center_j):
                          center_j * (1.0 + delta_j))
     # the first case that holds; the upper straddle when none does
     return np.argmax(np.stack([*cases, np.ones_like(cases[0])]), axis=0)
-
-
-# ----------------------------------------------------------------------------
-# numba backend (same math, explicit loops)
-# ----------------------------------------------------------------------------
-
-_WANT_NUMBA = os.environ.get("FLEXCON_NO_NUMBA", "") not in ("1", "true", "yes")
-
-if _WANT_NUMBA:
-    try:
-        import numba
-    except ImportError:  # pragma: no cover - environment without numba
-        _WANT_NUMBA = False
-
-if _WANT_NUMBA:
-
-    @numba.njit(cache=True)
-    def customer_cost_numba(x, p, delta, p_bar, center, k):
-        lo = center * (1.0 - delta)
-        hi = center * (1.0 + delta)
-        out = np.empty(x.shape[0], dtype=np.float64)
-        for t in range(x.shape[0]):
-            xp = x[t]
-            if xp < lo:
-                xp = lo
-            elif xp > hi and k < p_bar:
-                xp = hi
-            if xp > hi:
-                billed = xp * p_bar + hi * (p - p_bar)
-            else:
-                billed = xp * p
-            shed = x[t] - xp
-            if shed < 0.0:
-                shed = 0.0
-            out[t] = billed + k * shed
-        return out
-
-    @numba.njit(cache=True)
-    def payment_energy_numba(x, p, delta, p_bar, center, k):
-        lo = center * (1.0 - delta)
-        hi = center * (1.0 + delta)
-        pay = np.empty(x.shape[0], dtype=np.float64)
-        energy = np.empty(x.shape[0], dtype=np.float64)
-        for t in range(x.shape[0]):
-            xp = x[t]
-            if xp < lo:
-                xp = lo
-            elif xp > hi and k < p_bar:
-                xp = hi
-            if xp > hi:
-                pay[t] = xp * p_bar + hi * (p - p_bar)
-            else:
-                pay[t] = xp * p
-            energy[t] = xp
-        return pay, energy
-
-    @numba.njit(cache=True)
-    def own_cost_curve_numba(deltas, m, p, delta, p_bar, k):
-        q = k if p_bar > k else p_bar
-        out = np.empty(deltas.shape[0], dtype=np.float64)
-        for t in range(deltas.shape[0]):
-            d = deltas[t]
-            if d <= delta:
-                out[t] = m * p
-            else:
-                out[t] = m * p + (m * q / (4.0 * d)) * (d - delta) ** 2
-        return out
-
-    @numba.njit(cache=True)
-    def cross_cost_curve_numba(deltas, m, p, delta_j, p_bar, center_j, k):
-        q = k if p_bar > k else p_bar
-        mj = center_j
-        lo_b = mj * (1.0 - delta_j)
-        hi_b = mj * (1.0 + delta_j)
-        out = np.empty(deltas.shape[0], dtype=np.float64)
-        for t in range(deltas.shape[0]):
-            d = deltas[t]
-            lo_u = m * (1.0 - d)
-            hi_u = m * (1.0 + d)
-            if lo_u >= lo_b and hi_u <= hi_b:
-                out[t] = m * p
-            elif hi_u < lo_b:
-                out[t] = lo_b * p
-            elif lo_u > hi_b:
-                out[t] = (p - q) * hi_b + q * m
-            elif lo_u <= lo_b and hi_u >= hi_b:
-                out[t] = (
-                    q * m * m * d
-                    + ((-4.0 * delta_j * p + q * (1.0 + delta_j) ** 2) * mj * mj
-                       - 2.0 * (q * (1.0 + delta_j) - 2.0 * delta_j * p) * m * mj
-                       + q * m * m) / d
-                    + 2.0 * q * m * m
-                    + 2.0 * (-q * (1.0 + delta_j) + 2.0 * p) * m * mj
-                ) / (4.0 * m)
-            elif hi_u <= hi_b:
-                out[t] = (p / (4.0 * m)) * (
-                    m * m * d + (m - lo_b) ** 2 / d + 2.0 * m * m + 2.0 * m * lo_b
-                )
-            else:
-                out[t] = (
-                    (q - p) * m * m * d
-                    + (q - p) * (hi_b - m) ** 2 / d
-                    + 2.0 * q * m * m
-                    + 2.0 * p * m * m
-                    + 2.0 * (p - q) * m * hi_b
-                ) / (4.0 * m)
-        return out
-
-    BACKEND = "numba"
-    customer_cost = customer_cost_numba
-    payment_energy = payment_energy_numba
-    own_cost_curve = own_cost_curve_numba
-    cross_cost_curve = cross_cost_curve_numba
-else:
-    BACKEND = "numpy"
-    customer_cost = customer_cost_numpy
-    payment_energy = payment_energy_numpy
-    own_cost_curve = own_cost_curve_numpy
-    cross_cost_curve = cross_cost_curve_numpy

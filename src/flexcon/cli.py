@@ -12,7 +12,6 @@ import argparse
 import copy
 import csv
 import json
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -265,6 +264,7 @@ def cmd_simulate(args) -> int:
     if trials < 1:
         raise ConfigError("simulate requires 'sim.trials' (or --trials)")
     sim_cfg = oracle.SimConfig(trials=trials, seed=seed, mode=cfg.mode)
+    _worker_count()  # a bad FLEXCON_THREADS is a config error, before any work
     result = oracle.simulate_market(cfg.menu, cfg.params, cfg.dist, cfg.variation, sim_cfg)
     analytic = profit.total_profit(cfg.menu, cfg.params, cfg.dist, cfg.mode, cfg.variation)
     gap = abs(result.mean_profit - analytic)
@@ -291,6 +291,13 @@ def cmd_simulate(args) -> int:
     ]
     _emit(header, [row], args.out)
     return EXIT_OK
+
+
+def _worker_count() -> int:
+    try:
+        return oracle.worker_count()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _valid_paths(raw: dict) -> list[str]:
@@ -426,7 +433,7 @@ def cmd_sweep(args) -> int:
         (p1, v1s), (p2, v2s) = axes
         cells = [[(p1, v1), (p2, v2)] for v1 in v1s for v2 in v2s]
 
-    workers = int(os.environ.get("FLEXCON_THREADS", "0")) or min(8, os.cpu_count() or 1)
+    workers = _worker_count()
     if workers > 1 and len(cells) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(lambda cell: _sweep_cell(cfg.raw, cell), cells))

@@ -49,11 +49,20 @@ class SimResult:
     per_type_capacity: tuple[float, ...]
 
 
-def _worker_count() -> int:
+def worker_count() -> int:
+    """Worker threads from ``FLEXCON_THREADS``: unset or empty means
+    min(8, CPU count), a positive integer is taken as given, anything else
+    raises ValueError."""
     env = os.environ.get("FLEXCON_THREADS", "")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
+    if not env:
+        return min(8, os.cpu_count() or 1)
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"FLEXCON_THREADS must be a positive integer, got {env!r}")
+    return workers
 
 
 def _chunk_generators(seed: int, n_chunks: int) -> list[np.random.Generator]:
@@ -114,59 +123,61 @@ def oracle_expected_cost(
     return mean, (var / cfg.trials) ** 0.5
 
 
-def _cost_matrix(
-    ms: np.ndarray,
-    deltas: np.ndarray,
-    types: np.ndarray,
-    menu: ContractMenu,
-    params: MarketParams,
-    n_types: int,
-) -> np.ndarray:
-    """Expected-cost columns for baseline and every option, per customer."""
-    n_cust = ms.shape[0]
-    costs = np.empty((n_cust, len(menu) + 1))
-    costs[:, 0] = ms * params.p0
-    for i in range(n_types):
-        sel = types == i
-        if not np.any(sel):
-            continue
-        m_i = float(ms[sel][0])
-        d_i = np.ascontiguousarray(deltas[sel])
-        for j, opt in enumerate(menu):
-            if opt.center == m_i:
-                costs[sel, j + 1] = own_cost_curve(d_i, m_i, opt.p, opt.delta, opt.p_bar, params.k)
-            else:
-                costs[sel, j + 1] = cross_cost_curve(
-                    d_i, m_i, opt.p, opt.delta, opt.p_bar, opt.center, params.k
-                )
-    return costs
+def _choice_priority(
+    i: int, m: float, menu: ContractMenu, params: MarketParams, mode: BehaviorMode
+) -> list[int]:
+    """Choices of a type-i customer (mean m) in the order that wins a tie.
 
-
-def _choose_vectorized(
-    costs: np.ndarray,
-    ms: np.ndarray,
-    types: np.ndarray,
-    menu: ContractMenu,
-    params: MarketParams,
-    mode: BehaviorMode,
-) -> np.ndarray:
-    """Vectorized contract choice; returns -1 for baseline else the option index."""
-    best = costs.min(axis=1)
-    tied = costs <= (best + mode.tie_tol)[:, None]
+    Optimistic: the dedicated option i, then the options by index, then the
+    baseline. Pessimistic: the supplier tie-profit is the same for every
+    customer of the type, so the choices sort once by it, lowest first; equal
+    profits go to the baseline, then to the lower option index.
+    """
     if mode.mode == OPTIMISTIC:
-        rows = np.arange(costs.shape[0])
-        dedicated_tied = tied[rows, types + 1]
-        any_option = tied[:, 1:].any(axis=1)
-        first_option = np.argmax(tied[:, 1:], axis=1)
-        choice = np.where(any_option, first_option, BASELINE)
-        return np.where(dedicated_tied, types, choice)
-    m_max = max(opt.center for opt in menu)
-    s = np.empty_like(costs)
-    s[:, 0] = ms * params.p0 - 2.0 * m_max * params.c_hat - params.c0 * ms
-    for j, opt in enumerate(menu):
-        s[:, j + 1] = ms * opt.p - params.c_hat * opt.band_hi - params.c0 * ms
-    s = np.where(tied, s, np.inf)
-    return np.argmin(s, axis=1) - 1
+        return [j for j in (i, *range(len(menu))) if j < len(menu)] + [BASELINE]
+    choices = [BASELINE, *range(len(menu))]
+    return sorted(
+        choices, key=lambda c: (cost._supplier_profit_for_choice(m, c, menu, params), c)
+    )
+
+
+def _choices(
+    d: np.ndarray,
+    m: float,
+    priority: list[int],
+    menu: ContractMenu,
+    params: MarketParams,
+    tie_tol: float,
+) -> list[tuple[int, np.ndarray]]:
+    """(choice, positions in d) for type-m customers with variation d.
+
+    Each customer takes the first choice in priority order whose expected
+    cost is within tie_tol of its cheapest one; the baseline when none is,
+    which happens only on NaN costs.
+    """
+    base = m * params.p0
+    cols = [
+        own_cost_curve(d, m, opt.p, opt.delta, opt.p_bar, params.k)
+        if opt.center == m
+        else cross_cost_curve(d, m, opt.p, opt.delta, opt.p_bar, opt.center, params.k)
+        for opt in menu
+    ]
+    best = np.full(d.shape, base)
+    for col in cols:
+        np.minimum(best, col, out=best)
+    limit = best + tie_tol
+    undecided = np.ones(d.shape, dtype=bool)
+    picks = []
+    for choice in priority:
+        tied = base <= limit if choice == BASELINE else cols[choice] <= limit
+        sel = undecided & tied
+        if sel.any():
+            picks.append((choice, np.flatnonzero(sel)))
+            undecided &= ~tied
+            if not undecided.any():
+                return picks
+    picks.append((BASELINE, np.flatnonzero(undecided)))
+    return picks
 
 
 def simulate_market(
@@ -183,13 +194,25 @@ def simulate_market(
     mode, samples its realized demand, and books payment, generated energy,
     and provisioned capacity. Trials run in fixed-size chunks with independent
     RNG substreams, so results are byte-identical for any worker count.
+
+    A chunk is worked one customer type at a time: the type's draws are
+    gathered, one expected-cost column is built per choice, and each customer
+    takes the first tied choice in a priority order that is fixed per type
+    (see ``_choice_priority``). Demand, payment, capacity and the per-type
+    sums are computed on the same block, and per-customer profit is put back
+    in draw order for the per-trial sums. Each element sees the same float
+    operations as in a whole-chunk evaluation, and every sum runs over the
+    same values in the same order, so the result does not depend on this
+    grouping.
     """
     n_types = dist.n
     cumprobs = np.cumsum(dist.probs)
-    means = np.asarray(dist.means)
     caps_by_choice = np.array(
         [2.0 * dist.m_max] + [profit.option_capacity(opt, params) for opt in menu]
     )
+    priorities = [
+        _choice_priority(i, m, menu, params, cfg.mode) for i, m in enumerate(dist.means)
+    ]
     sizes = _chunk_sizes(cfg.trials)
     gens = _chunk_generators(cfg.seed, len(sizes))
 
@@ -203,46 +226,50 @@ def simulate_market(
     def run_chunk(c: int) -> None:
         n, rng = sizes[c], gens[c]
         shape = (n, params.N)
-        types = np.searchsorted(cumprobs, rng.random(shape), side="left")
-        types = np.minimum(types, n_types - 1).ravel()
+        u_type = rng.random(shape).ravel()
+        # the number of cumulative probabilities below the draw, capped at the
+        # last type: searchsorted(cumprobs, u_type, "left") without the search
+        types = np.zeros(u_type.shape, dtype=np.min_scalar_type(n_types))
+        for edge in cumprobs[:-1]:
+            types += u_type > edge
         deltas = np.asarray(variation.ppf(rng.random(shape))).ravel()
         u_demand = rng.random(shape).ravel()
-        ms = means[types]
+        per_cust = np.empty(types.shape[0])
 
-        costs = _cost_matrix(ms, deltas, types, menu, params, n_types)
-        choice = _choose_vectorized(costs, ms, types, menu, params, cfg.mode)
+        for i, m in enumerate(dist.means):
+            idx = np.flatnonzero(types == i)
+            counts[c, i] = idx.size
+            if idx.size == 0:
+                continue
+            d = deltas[idx]
+            lo = m * (1.0 - d)
+            x = lo + u_demand[idx] * (m * (1.0 + d) - lo)
+            pay = np.empty_like(x)
+            energy = np.empty_like(x)
+            cap = np.empty_like(x)
+            for choice, pos in _choices(d, m, priorities[i], menu, params, cfg.mode.tie_tol):
+                xs = x[pos]
+                if choice == BASELINE:
+                    pay[pos] = params.p0 * xs
+                    energy[pos] = xs
+                else:
+                    opt = menu[choice]
+                    pay[pos], energy[pos] = payment_energy(
+                        xs, opt.p, opt.delta, opt.p_bar, opt.center, params.k
+                    )
+                cap[pos] = caps_by_choice[choice + 1]
 
-        lo = ms * (1.0 - deltas)
-        x = lo + u_demand * (ms * (1.0 + deltas) - lo)
-        pay = np.empty_like(x)
-        energy = np.empty_like(x)
-        base_sel = choice == BASELINE
-        pay[base_sel] = params.p0 * x[base_sel]
-        energy[base_sel] = x[base_sel]
-        for j, opt in enumerate(menu):
-            sel = choice == j
-            if np.any(sel):
-                pj, ej = payment_energy(
-                    np.ascontiguousarray(x[sel]), opt.p, opt.delta, opt.p_bar, opt.center, params.k
-                )
-                pay[sel] = pj
-                energy[sel] = ej
-        cap = caps_by_choice[choice + 1]
+            per_cust[idx] = pay - params.c0 * energy - params.c_hat * cap
+            cust_cost = pay + params.k * np.maximum(x - energy, 0.0)
+            cost_sums[c, i] = cust_cost.sum()
+            cost_sqsums[c, i] = np.sum(cust_cost**2)
+            cap_sums[c, i] = cap.sum()
 
-        per_cust = pay - params.c0 * energy - params.c_hat * cap
         per_trial = per_cust.reshape(n, params.N).sum(axis=1)
         profit_sums[c] = per_trial.sum()
         profit_sqsums[c] = np.sum(per_trial * per_trial)
 
-        cust_cost = pay + params.k * np.maximum(x - energy, 0.0)
-        for i in range(n_types):
-            sel = types == i
-            counts[c, i] = np.count_nonzero(sel)
-            cost_sums[c, i] = cust_cost[sel].sum()
-            cost_sqsums[c, i] = np.sum(cust_cost[sel] ** 2)
-            cap_sums[c, i] = cap[sel].sum()
-
-    workers = _worker_count()
+    workers = worker_count()
     if workers > 1 and len(sizes) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_chunk, range(len(sizes))))

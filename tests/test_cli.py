@@ -154,6 +154,21 @@ def test_simulate_deterministic_output(sim_config, tmp_path, monkeypatch):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("threads", ["abc", "0"])
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_bad_thread_count_is_a_config_error(command, threads, sim_config, monkeypatch, capsys):
+    monkeypatch.setenv("FLEXCON_THREADS", threads)
+    argv = [command, "--config", sim_config]
+    if command == "sweep":
+        argv += ["--axis", "params.c_hat=0.5:1.5:3"]
+    code, out = run_cli(argv)
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("config error: FLEXCON_THREADS") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_simulate_reports_pass_flag(sim_config):
     code, out = run_cli(["simulate", "--config", sim_config])
     assert code == 0

@@ -1,9 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
 from conftest import make_rng, sample_instance
 from flexcon import cost, design, oracle, profit
-from flexcon import _kernels
 from flexcon.model import (
     BehaviorMode,
     ContractMenu,
@@ -21,6 +22,19 @@ def opt_mode(params):
 def test_sim_config_requires_trials():
     with pytest.raises(ValueError):
         oracle.SimConfig(trials=0, seed=1, mode=BehaviorMode("optimistic", 0.0))
+
+
+def test_worker_count_from_environment(monkeypatch):
+    monkeypatch.delenv("FLEXCON_THREADS", raising=False)
+    assert oracle.worker_count() == min(8, os.cpu_count() or 1)
+    monkeypatch.setenv("FLEXCON_THREADS", "")
+    assert oracle.worker_count() == min(8, os.cpu_count() or 1)
+    monkeypatch.setenv("FLEXCON_THREADS", "3")
+    assert oracle.worker_count() == 3
+    for bad in ("0", "-2", "abc", "1.5"):
+        monkeypatch.setenv("FLEXCON_THREADS", bad)
+        with pytest.raises(ValueError, match="FLEXCON_THREADS"):
+            oracle.worker_count()
 
 
 def test_oracle_zero_variation_is_deterministic():
@@ -153,26 +167,3 @@ def test_truncated_normal_demand_sampler_moments():
     x = oracle._sample_demand(rng, 200000, 2.0, 0.5, 0.3)
     assert np.all(x >= 1.0 - 1e-12) and np.all(x <= 3.0 + 1e-12)
     assert x.mean() == pytest.approx(2.0, abs=0.005)
-
-
-def test_kernel_backends_agree():
-    if _kernels.BACKEND != "numba":
-        pytest.skip("numba backend unavailable")
-    x = np.random.default_rng(0).uniform(0.0, 4.0, 20000)
-    args = (9.0, 0.3, 40.0, 1.1, 20.0)
-    assert np.array_equal(_kernels.customer_cost_numpy(x, *args), _kernels.customer_cost_numba(x, *args))
-    p_np, e_np = _kernels.payment_energy_numpy(x, *args)
-    p_nb, e_nb = _kernels.payment_energy_numba(x, *args)
-    assert np.array_equal(p_np, p_nb) and np.array_equal(e_np, e_nb)
-    d = np.linspace(0.0, 1.0, 2001)
-    own_args = (1.1, 9.0, 0.3, 40.0, 20.0)
-    assert np.array_equal(
-        _kernels.own_cost_curve_numpy(d, *own_args), _kernels.own_cost_curve_numba(d, *own_args)
-    )
-    cross_args = (1.0, 9.0, 0.5, 40.0, 1.2, 20.0)
-    assert np.allclose(
-        _kernels.cross_cost_curve_numpy(d, *cross_args),
-        _kernels.cross_cost_curve_numba(d, *cross_args),
-        rtol=1e-15,
-        atol=0.0,
-    )

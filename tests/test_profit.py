@@ -377,3 +377,49 @@ def test_crossover_capacity_cost_value():
     crossover = profit.crossover_capacity_cost(menu, params, dist)
     # the revenue sacrifice 0.1*p0*12 against the capacity saving 46.8
     assert crossover == pytest.approx(p0 / 39.0, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# known defect: equal-price high-penalty menus that fail the incentive check
+# ---------------------------------------------------------------------------
+
+
+def _equal_price_menu_failing_ic():
+    """A 4-type pessimistic scenario with one price for every option and a
+    high penalty, whose menu fails the exact incentive check."""
+    params = MarketParams(
+        p0=13.695164177359485, k=22.93301324307804, c0=2.572197178251608,
+        c_hat=3.090016716465051, N=5,
+    )
+    dist = TypeDistribution(
+        (1.6905227955382358, 2.6324078339603636, 3.337451322263798, 4.400574490489872),
+        (0.13796706674125128, 0.28965873927234403, 0.12810140896083796, 0.44427278502556666),
+    )
+    price, p_bar = 12.839216416274517, 109.56131341887588
+    deltas = (0.6888925080899565, 0.667864691772035, 0.6304961256644138, 0.8900678399407855)
+    menu = ContractMenu(tuple(opt(price, d, p_bar, m) for d, m in zip(deltas, dist.means)))
+    return menu, params, dist
+
+
+def test_equal_price_menu_failing_ic_references_agree():
+    menu, params, dist = _equal_price_menu_failing_ic()
+    ok, violations = design.verify_ic(menu, params, dist)
+    assert not ok and len(violations) == 6
+    numeric = oracle.quadrature_profit(menu, params, dist, BehaviorMode.pessimistic(params))
+    assert design.pessimistic_profit(menu, params, dist) == pytest.approx(numeric, rel=1e-10)
+    assert numeric == pytest.approx(44.9746, abs=1e-4)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "total_profit takes the pessimistic analytic path for equal-price "
+        "high-penalty menus that fail the incentive check, which is not exact "
+        "for them: it gives 56.4846 where quadrature gives 44.9746"
+    ),
+)
+def test_total_profit_exact_for_equal_price_menu_failing_ic():
+    menu, params, dist = _equal_price_menu_failing_ic()
+    mode = BehaviorMode.pessimistic(params)
+    numeric = oracle.quadrature_profit(menu, params, dist, mode)
+    assert profit.total_profit(menu, params, dist, mode) == pytest.approx(numeric, rel=1e-8)
