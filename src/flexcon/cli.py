@@ -12,6 +12,7 @@ import argparse
 import copy
 import csv
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -65,6 +66,26 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
+def _parse_variation(v: dict) -> VariationModel:
+    fam = v.get("family", UNIFORM)
+    if fam == UNIFORM:
+        return VariationModel.uniform()
+    if fam != TRUNCATED_NORMAL:
+        raise ConfigError(f"unknown variation family '{fam}'")
+    mu = float(_require(v, "mu", "variation"))
+    sigma = float(_require(v, "sigma", "variation"))
+    if not (math.isfinite(mu) and math.isfinite(sigma)):
+        raise ConfigError(f"'variation.mu' and 'variation.sigma' must be finite, got {mu}, {sigma}")
+    if sigma <= 0.0:
+        raise ConfigError(f"'variation.sigma' must be positive, got {sigma}")
+    variation = VariationModel.truncated_normal(mu, sigma)
+    if not variation.normaliser() > 0.0:
+        raise ConfigError(
+            f"truncated normal with mu={mu}, sigma={sigma} has no probability mass on [0, 1]"
+        )
+    return variation
+
+
 def parse_config(raw: dict) -> ScenarioConfig:
     if raw.get("schema") != SCHEMA_VERSION:
         raise ConfigError(f"config must declare \"schema\": {SCHEMA_VERSION}")
@@ -89,20 +110,15 @@ def parse_config(raw: dict) -> ScenarioConfig:
                 probs[i] = probs[i] * target / rest if rest > 0 else target / (len(probs) - 1)
     dist = TypeDistribution(tuple(float(v) for v in _require(d, "means", "dist")), tuple(probs))
 
-    v = raw.get("variation", {"family": UNIFORM})
-    fam = v.get("family", UNIFORM)
-    if fam == UNIFORM:
-        variation = VariationModel.uniform()
-    elif fam == TRUNCATED_NORMAL:
-        variation = VariationModel.truncated_normal(float(v["mu"]), float(v["sigma"]))
-    else:
-        raise ConfigError(f"unknown variation family '{fam}'")
+    variation = _parse_variation(raw.get("variation", {"family": UNIFORM}))
 
     m = raw.get("mode", {})
     behavior = m.get("behavior", "optimistic")
     if behavior not in (OPTIMISTIC, PESSIMISTIC):
         raise ConfigError(f"unknown behavior mode '{behavior}'")
     tie_tol = float(m["tie_tol"]) if "tie_tol" in m else 1e-9 * params.p0
+    if not (math.isfinite(tie_tol) and tie_tol >= 0.0):
+        raise ConfigError(f"'mode.tie_tol' must be finite and nonnegative, got {tie_tol}")
     mode = BehaviorMode(behavior, tie_tol)
 
     menu = None

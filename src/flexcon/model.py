@@ -81,6 +81,12 @@ class VariationModel:
             raise ValueError("sigma must be positive")
         return cls(TRUNCATED_NORMAL, mu, sigma)
 
+    def normaliser(self) -> float:
+        """Probability mass of the untruncated family on [0, 1]."""
+        if self.family == UNIFORM:
+            return 1.0
+        return float(ndtr((1.0 - self.mu) / self.sigma) - ndtr((0.0 - self.mu) / self.sigma))
+
     def cdf(self, x: float) -> float:
         """P(variation <= x); clipped to [0, 1] outside the support."""
         if x <= 0.0:

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import cost
-from ._integrate import bisect_root
+from ._integrate import ConvergenceError, bisect_root
 from .model import (
     BASELINE,
     OPTIMISTIC,
@@ -230,8 +230,12 @@ def pessimistic_profit_limit(
 
 
 # ----------------------------------------------------------------------------
-# generic per-variation integration (fallback for menus outside the
-# equal-price high-penalty shape)
+# per-variation integration over choice spans (menus outside the equal-price
+# high-penalty shape). The choice is fixed on each span of smooth_choice_spans
+# and the span ends include every band and case boundary, so a fixed-choice
+# profit is exactly A*d + B/d + C there; under uniform variation the
+# three-node _span_rule integrates it exactly. Truncated-normal weights use
+# adaptive Gauss.
 # ----------------------------------------------------------------------------
 
 
@@ -336,11 +340,36 @@ def _adaptive_gauss(f, a: float, b: float, tol: float = 1e-9, depth: int = 24) -
     whole = _gauss_panel(f, a, b)
     mid = 0.5 * (a + b)
     split = _gauss_panel(f, a, mid) + _gauss_panel(f, mid, b)
-    if abs(split - whole) <= tol * (1.0 + abs(split)) or depth <= 0:
+    if abs(split - whole) <= tol * (1.0 + abs(split)):
         return split
+    if depth <= 0:
+        raise ConvergenceError(
+            f"adaptive Gauss did not converge on [{a}, {b}] (residual {split - whole:.3e})"
+        )
     return _adaptive_gauss(f, a, mid, tol / 2.0, depth - 1) + _adaptive_gauss(
         f, mid, b, tol / 2.0, depth - 1
     )
+
+
+def _span_rule(lo: float, hi: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Nodes and weights that integrate A*d + B/d + C exactly over [lo, hi].
+
+    The nodes are lo + w/6, the midpoint and hi - w/6 (w = hi - lo); the
+    weights solve the moment system for 1, d and 1/d. A span starting at 0
+    has B = 0 (every band edge away from m lies beyond the first breakpoint),
+    so two nodes exact for 1 and d suffice. A span narrower than 1e-3*hi
+    takes Simpson's rule, whose error there is at most (w/d)^5 * |B| / 120.
+    """
+    w = hi - lo
+    if lo == 0.0:
+        return (w / 6.0, hi - w / 6.0), (0.5 * w, 0.5 * w)
+    if w < 1e-3 * hi:
+        return (lo, 0.5 * (lo + hi), hi), (w / 6.0, 2.0 * w / 3.0, w / 6.0)
+    mid = 0.5 * (lo + hi)
+    s = w / 3.0
+    # weights (lam, w - 2*lam, lam) integrate 1 and d for any lam; lam fits 1/d
+    lam = (math.log1p(w / lo) - w / mid) * mid * (mid * mid - s * s) / (2.0 * s * s)
+    return (mid - s, mid, mid + s), (lam, w - 2.0 * lam, lam)
 
 
 def variation_weight(variation: VariationModel):
@@ -353,6 +382,32 @@ def variation_weight(variation: VariationModel):
     return lambda d: math.exp(-0.5 * ((d - variation.mu) / variation.sigma) ** 2) / z
 
 
+def _expected_over_spans(
+    value,
+    m: float,
+    menu: ContractMenu,
+    params: MarketParams,
+    mode: BehaviorMode,
+    variation: VariationModel,
+) -> float:
+    """Expectation of value(d, choice) over the variation degree of a type-m customer.
+
+    Ties are resolved exactly: the analytic equilibrium switches at
+    thresholds, not across a tie-tolerance window.
+    """
+    mode0 = BehaviorMode(mode.mode, 0.0)
+    pdf = None if variation.family == UNIFORM else variation_weight(variation)
+    acc = 0.0
+    for lo, hi in smooth_choice_spans(m, menu, params, mode0):
+        choice = cost.choose_option(m, 0.5 * (lo + hi), menu, params, mode0)
+        if pdf is None:
+            nodes, weights = _span_rule(lo, hi)
+            acc += sum(w * value(d, choice) for d, w in zip(nodes, weights))
+        else:
+            acc += _adaptive_gauss(lambda d: value(d, choice) * pdf(d), lo, hi)
+    return acc
+
+
 def _profit_by_integration(
     menu: ContractMenu,
     params: MarketParams,
@@ -360,18 +415,12 @@ def _profit_by_integration(
     mode: BehaviorMode,
     variation: VariationModel,
 ) -> float:
-    # ties resolved exactly: the analytic equilibrium switches at thresholds,
-    # not across a tie-tolerance window; the choice is constant on each span
-    mode0 = BehaviorMode(mode.mode, 0.0)
-    pdf = variation_weight(variation)
     total = 0.0
     for m, h in zip(dist.means, dist.probs):
-        acc = 0.0
-        for lo, hi in smooth_choice_spans(m, menu, params, mode0):
-            choice = cost.choose_option(m, 0.5 * (lo + hi), menu, params, mode0)
-            acc += _adaptive_gauss(
-                lambda d: profit_for_choice(m, d, choice, menu, params) * pdf(d), lo, hi
-            )
+        acc = _expected_over_spans(
+            lambda d, c: profit_for_choice(m, d, c, menu, params),
+            m, menu, params, mode, variation,
+        )
         total += params.N * h * acc
     return total
 
@@ -387,8 +436,11 @@ def total_profit(
 
     Optimistic totals sum the per-type regime closed forms. Pessimistic totals
     use exact piecewise evaluation for equal-price high-penalty menus (worst
-    ties resolved against the supplier, baseline included) and fall back to
-    direct integration of the per-variation choice profile otherwise.
+    ties resolved against the supplier, baseline included). Other menus are
+    integrated over the per-variation choice profile span by span: exactly
+    under uniform variation (the three-node ``_span_rule``), by adaptive Gauss
+    under truncated-normal variation, which raises ConvergenceError if it runs
+    out of depth.
     """
     if mode.mode == OPTIMISTIC:
         total = 0.0
@@ -487,14 +539,16 @@ def per_type_capacities(
 ) -> list[float]:
     """Expected provisioned capacity per type-i customer under the given mode.
 
-    tie_structure=False forces direct integration of the pessimistic choice
-    profile (needed when the menu shape looks tie-based but incentives fail).
+    Pessimistic capacities of menus outside the equal-price high-penalty shape
+    integrate the choice profile span by span, exactly under uniform variation
+    (the three-node ``_span_rule``) and by adaptive Gauss otherwise.
+    tie_structure=False forces that integration (needed when the menu shape
+    looks tie-based but incentives fail).
     """
     all_high = all(cost.regime(o, params.k) == cost.HIGH_PENALTY for o in menu)
     tie_shaped = all_high and menu_prices_equal(menu, tol=mode.tie_tol)
     if tie_structure is False:
         tie_shaped = False
-    pdf = variation_weight(variation)
     caps = []
     for i, opt in enumerate(menu):
         if mode.mode == PESSIMISTIC:
@@ -505,17 +559,12 @@ def per_type_capacities(
                     caps.append(pessimistic_capacity(i, menu, params, dist, variation))
             else:
                 m = dist.means[i]
-                mode0 = BehaviorMode(mode.mode, 0.0)
-                cap = 0.0
-                for lo, hi in smooth_choice_spans(m, menu, params, mode0):
-                    choice = cost.choose_option(m, 0.5 * (lo + hi), menu, params, mode0)
-                    cap += _adaptive_gauss(
-                        lambda d: account_for_choice(m, d, choice, menu, params).capacity
-                        * pdf(d),
-                        lo,
-                        hi,
+                caps.append(
+                    _expected_over_spans(
+                        lambda d, c: account_for_choice(m, d, c, menu, params).capacity,
+                        m, menu, params, mode, variation,
                     )
-                caps.append(cap)
+                )
             continue
         if cost.regime(opt, params.k) == cost.HIGH_PENALTY:
             caps.append(profit_high(i, opt, params, dist, variation).capacity)

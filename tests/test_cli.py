@@ -169,6 +169,53 @@ def test_bad_thread_count_is_a_config_error(command, threads, sim_config, monkey
     assert "Traceback" not in err
 
 
+TN = "truncated_normal"
+
+
+@pytest.mark.parametrize(
+    "section, value, message",
+    [
+        ("variation", {"family": TN, "mu": float("nan"), "sigma": 0.2}, "must be finite"),
+        ("variation", {"family": TN, "mu": 0.3, "sigma": float("inf")}, "must be finite"),
+        ("variation", {"family": TN, "mu": 0.3, "sigma": 0.0}, "'variation.sigma' must be positive"),
+        ("variation", {"family": TN, "mu": 0.3, "sigma": -0.2}, "'variation.sigma' must be positive"),
+        ("variation", {"family": TN, "mu": 40.0, "sigma": 0.5}, "no probability mass on [0, 1]"),
+        ("variation", {"family": TN, "sigma": 0.2}, "missing required field 'variation.mu'"),
+        ("variation", {"family": TN, "mu": 0.3}, "missing required field 'variation.sigma'"),
+        ("mode", {"tie_tol": -1.0}, "'mode.tie_tol' must be finite and nonnegative"),
+        ("mode", {"tie_tol": float("nan")}, "'mode.tie_tol' must be finite and nonnegative"),
+        ("mode", {"tie_tol": float("inf")}, "'mode.tie_tol' must be finite and nonnegative"),
+    ],
+    ids=[
+        "mu-nan", "sigma-inf", "sigma-zero", "sigma-negative", "no-mass",
+        "mu-missing", "sigma-missing", "tie_tol-negative", "tie_tol-nan", "tie_tol-inf",
+    ],
+)
+def test_bad_variation_or_mode_is_a_config_error(tmp_path, capsys, section, value, message):
+    payload = {
+        "schema": 1,
+        "params": {"p0": 10.0, "k": 20.0, "c0": 1.0, "c_hat": 2.0, "N": 3},
+        "dist": {"means": [1.0, 1.2], "probs": [0.5, 0.5]},
+        "menu": {
+            "options": [
+                {"p": 9.99, "delta": 0.7, "p_bar": 40.0, "center": 1.0},
+                {"p": 9.99, "delta": 0.5, "p_bar": 40.0, "center": 1.2},
+            ]
+        },
+        "variation": {"family": TN, "mu": 0.3, "sigma": 0.2},
+        "mode": {"behavior": "pessimistic"},
+    }
+    code, _ = run_cli(["evaluate", "--config", write_config(tmp_path, "ok.json", payload)])
+    assert code == 0
+    payload[section] = value
+    code, out = run_cli(["evaluate", "--config", write_config(tmp_path, "bad.json", payload)])
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_simulate_reports_pass_flag(sim_config):
     code, out = run_cli(["simulate", "--config", sim_config])
     assert code == 0

@@ -6,8 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_rng, sample_instance
 from flexcon import cost, design, oracle, profit
+from flexcon._integrate import ConvergenceError
 from flexcon.model import (
     BASELINE,
+    OPTIMISTIC,
+    PESSIMISTIC,
     BehaviorMode,
     ContractMenu,
     ContractOption,
@@ -380,34 +383,169 @@ def test_crossover_capacity_cost_value():
 
 
 # ---------------------------------------------------------------------------
+# integration path: the exact three-node span rule
+# ---------------------------------------------------------------------------
+
+
+def _span_rule_cases(seed, count):
+    """Markets with approximate, fixed-discount, super-optimal and random menus;
+    each random option has a high or a low penalty at random."""
+    rng = make_rng(seed)
+    for _ in range(count):
+        params, dist = sample_instance(rng)
+        yield params, dist, design.approx_menu(params, dist)
+        eps = params.p0 * 2.0 ** -float(rng.integers(1, 8))
+        yield params, dist, design.approx_menu(params, dist, epsilon=eps)
+        yield params, dist, design.super_optimal(params, dist).menu
+        opts = []
+        for m in dist.means:
+            if rng.random() < 0.5:
+                p_bar = params.k * rng.uniform(1.1, 5.0)
+            else:
+                p_bar = rng.uniform(params.p0, params.k)
+            opts.append(opt(params.p0 * rng.uniform(0.6, 1.0), rng.uniform(0.0, 0.9), p_bar, m))
+        yield params, dist, ContractMenu(tuple(opts))
+
+
+def _curve_through(nodes, values, d):
+    """Value at d of the A*d + B/d + C curve (A*d + C for two nodes) through the points."""
+    if len(nodes) == 2:
+        (x0, x1), (f0, f1) = nodes, values
+        return f0 + (f1 - f0) * (d - x0) / (x1 - x0)
+    # d * (A*d + B/d + C) is the quadratic through the points (x, x * f(x))
+    q = 0.0
+    for k, (xk, fk) in enumerate(zip(nodes, values)):
+        basis = 1.0
+        for j, xj in enumerate(nodes):
+            if j != k:
+                basis *= (d - xj) / (xk - xj)
+        q += xk * fk * basis
+    return q / d
+
+
+BEHAVIORS = pytest.mark.parametrize("behavior", [OPTIMISTIC, PESSIMISTIC])
+
+
+@BEHAVIORS
+def test_fixed_choice_profit_is_exact_for_the_span_rule(behavior):
+    mode0 = BehaviorMode(behavior, 0.0)
+    spans = 0
+    for params, dist, menu in _span_rule_cases(21, 6):
+        for m in dist.means:
+            for lo, hi in profit.smooth_choice_spans(m, menu, params, mode0):
+                choice = cost.choose_option(m, 0.5 * (lo + hi), menu, params, mode0)
+                nodes, _ = profit._span_rule(lo, hi)
+                if len(set(nodes)) < len(nodes):
+                    continue  # a span a few ulps wide: no curve to fit
+                values = [profit.profit_for_choice(m, x, choice, menu, params) for x in nodes]
+                scale = max(abs(v) for v in values) + m * params.p0
+                for t in (0.29, 0.83):
+                    d = lo + t * (hi - lo)
+                    exact = profit.profit_for_choice(m, d, choice, menu, params)
+                    assert _curve_through(nodes, values, d) == pytest.approx(
+                        exact, abs=1e-12 * scale
+                    )
+                spans += 1
+    assert spans > 200
+
+
+@BEHAVIORS
+def test_profit_by_integration_matches_quadrature(behavior):
+    for params, dist, menu in _span_rule_cases(22, 4):
+        mode = BehaviorMode(behavior, 1e-9 * params.p0)
+        revenue = params.N * sum(h * m * params.p0 for m, h in zip(dist.means, dist.probs))
+        value = profit._profit_by_integration(menu, params, dist, mode, VariationModel.uniform())
+        numeric = oracle.quadrature_profit(menu, params, dist, mode)
+        assert value == pytest.approx(numeric, abs=1e-10 * revenue)
+
+
+def test_span_rule_capacities_match_dense_grid():
+    cells = 1000
+    grid = (np.arange(cells) + 0.5) / cells
+    for params, dist, menu in _span_rule_cases(23, 3):
+        mode = BehaviorMode.pessimistic(params)
+        caps = profit.per_type_capacities(
+            menu, params, dist, mode, VariationModel.uniform(), tie_structure=False
+        )
+        mode0 = BehaviorMode(mode.mode, 0.0)
+        for m, cap in zip(dist.means, caps):
+            dense = np.mean([
+                profit.account_for_choice(
+                    m, d, cost.choose_option(m, d, menu, params, mode0), menu, params
+                ).capacity
+                for d in grid
+            ])
+            # capacity is constant on each span, so only the cells holding a switch err
+            switches = len(profit.smooth_choice_spans(m, menu, params, mode0))
+            assert cap == pytest.approx(dense, abs=switches * 2.0 * dist.m_max / cells)
+
+
+def test_adaptive_gauss_raises_when_depth_runs_out():
+    def step(d):
+        return 0.0 if d < 1.0 / 3.0 else 1.0
+
+    with pytest.raises(ConvergenceError):
+        profit._adaptive_gauss(step, 0.0, 1.0, depth=4)
+    assert profit._adaptive_gauss(math.exp, 0.0, 1.0) == pytest.approx(math.e - 1.0, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # known defect: equal-price high-penalty menus that fail the incentive check
 # ---------------------------------------------------------------------------
 
 
-def _equal_price_menu_failing_ic():
-    """A 4-type pessimistic scenario with one price for every option and a
-    high penalty, whose menu fails the exact incentive check."""
-    params = MarketParams(
-        p0=13.695164177359485, k=22.93301324307804, c0=2.572197178251608,
-        c_hat=3.090016716465051, N=5,
-    )
-    dist = TypeDistribution(
+#: perfbench's 4-type pessimistic `cli` scenario for three seeds: the params,
+#: the means and probabilities, the shared price and penalty, the band widths,
+#: the `verify_ic` violation count and the quadrature profit
+_FAILING_IC_CASES = {
+    "cli-seed7": (
+        (13.695164177359485, 22.93301324307804, 2.572197178251608, 3.090016716465051, 5),
         (1.6905227955382358, 2.6324078339603636, 3.337451322263798, 4.400574490489872),
         (0.13796706674125128, 0.28965873927234403, 0.12810140896083796, 0.44427278502556666),
-    )
-    price, p_bar = 12.839216416274517, 109.56131341887588
-    deltas = (0.6888925080899565, 0.667864691772035, 0.6304961256644138, 0.8900678399407855)
+        (12.839216416274517, 109.56131341887588),
+        (0.6888925080899565, 0.667864691772035, 0.6304961256644138, 0.8900678399407855),
+        6,
+        44.9746,
+    ),
+    "cli-seed20240809": (
+        (10.568739414769926, 19.42066108500665, 1.7365134813939935, 1.2465899845562434, 5),
+        (2.765012412561388, 3.5312536011790914, 4.612507456672267, 5.529141239081869),
+        (0.22907501835170602, 0.3832017521515001, 0.23546016805087788, 0.15226306144591595),
+        (10.403602861414146, 84.5499153181594),
+        (0.4405595268797036, 0.9850325454251052, 0.8585081018501002, 0.58444453046733),
+        8,
+        116.5644,
+    ),
+    "cli-seed4242": (
+        (18.051887401497424, 53.193330701156924, 2.9677411452679108, 1.3747671944492246, 5),
+        (2.602827205826034, 3.9269664617863373, 4.472414554255933, 6.613068869561268),
+        (0.38597001907024764, 0.33527537988079825, 0.11922276464474085, 0.1595318364042133),
+        (17.769826660849027, 144.4150992119794),
+        (0.7577739132499325, 0.8509774075064216, 0.48304995214460417, 0.7411843196442294),
+        9,
+        221.8946,
+    ),
+}
+
+
+def _equal_price_menu_failing_ic(case):
+    """A 4-type pessimistic scenario with one price for every option and a
+    high penalty, whose menu fails the exact incentive check."""
+    p, means, probs, (price, p_bar), deltas, _, _ = _FAILING_IC_CASES[case]
+    params = MarketParams(*p)
+    dist = TypeDistribution(means, probs)
     menu = ContractMenu(tuple(opt(price, d, p_bar, m) for d, m in zip(deltas, dist.means)))
     return menu, params, dist
 
 
 def test_equal_price_menu_failing_ic_references_agree():
-    menu, params, dist = _equal_price_menu_failing_ic()
-    ok, violations = design.verify_ic(menu, params, dist)
-    assert not ok and len(violations) == 6
-    numeric = oracle.quadrature_profit(menu, params, dist, BehaviorMode.pessimistic(params))
-    assert design.pessimistic_profit(menu, params, dist) == pytest.approx(numeric, rel=1e-10)
-    assert numeric == pytest.approx(44.9746, abs=1e-4)
+    for case, (*_, violation_count, expected) in _FAILING_IC_CASES.items():
+        menu, params, dist = _equal_price_menu_failing_ic(case)
+        ok, violations = design.verify_ic(menu, params, dist)
+        assert not ok and len(violations) == violation_count
+        numeric = oracle.quadrature_profit(menu, params, dist, BehaviorMode.pessimistic(params))
+        assert design.pessimistic_profit(menu, params, dist) == pytest.approx(numeric, rel=1e-10)
+        assert numeric == pytest.approx(expected, abs=1e-4)
 
 
 @pytest.mark.xfail(
@@ -415,11 +553,13 @@ def test_equal_price_menu_failing_ic_references_agree():
     reason=(
         "total_profit takes the pessimistic analytic path for equal-price "
         "high-penalty menus that fail the incentive check, which is not exact "
-        "for them: it gives 56.4846 where quadrature gives 44.9746"
+        "for them: it gives 56.4846, 115.6490 and 221.4402 where quadrature "
+        "gives 44.9746, 116.5644 and 221.8946"
     ),
 )
-def test_total_profit_exact_for_equal_price_menu_failing_ic():
-    menu, params, dist = _equal_price_menu_failing_ic()
+@pytest.mark.parametrize("case", list(_FAILING_IC_CASES))
+def test_total_profit_exact_for_equal_price_menu_failing_ic(case):
+    menu, params, dist = _equal_price_menu_failing_ic(case)
     mode = BehaviorMode.pessimistic(params)
     numeric = oracle.quadrature_profit(menu, params, dist, mode)
     assert profit.total_profit(menu, params, dist, mode) == pytest.approx(numeric, rel=1e-8)
