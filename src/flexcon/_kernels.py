@@ -1,8 +1,11 @@
 """Hot numeric kernels: element-wise numpy math over Monte Carlo draws and
-variation grids.
+variation grids, and the expected-cost formulas behind them.
 
 The Monte Carlo cost transform and the expected-cost curves over variation
-grids dominate runtime in the oracle.
+grids dominate runtime in the oracle. Each expected-cost formula is written
+once, with only + - * / **: ``cost`` evaluates it on Python floats, the curve
+kernels on arrays. In the formulas q is the effective penalty and [lo_b, hi_b]
+the band of an option of width dj centred at mj.
 
 The coefficient tables write each piece of the two expected-cost curves as
 A*d + B/d + C; the exact incentive check in ``design`` works on them.
@@ -16,29 +19,85 @@ import numpy as np
 BACKEND = "numpy"
 
 
-def _respond(x, p_bar, k, lo, hi):
-    xp = np.maximum(x, lo)
-    if k < p_bar:
-        xp = np.minimum(xp, hi)
-    return xp
-
-
-def customer_cost(x, p, delta, p_bar, center, k):
-    """Total per-draw customer cost: billed amount plus elasticity penalty."""
-    lo = center * (1.0 - delta)
-    hi = center * (1.0 + delta)
-    xp = _respond(x, p_bar, k, lo, hi)
-    billed = np.where(xp > hi, xp * p_bar + hi * (p - p_bar), xp * p)
-    return billed + k * np.maximum(x - xp, 0.0)
-
-
 def payment_energy(x, p, delta, p_bar, center, k):
     """Per-draw payment to the supplier and adjusted energy drawn."""
     lo = center * (1.0 - delta)
     hi = center * (1.0 + delta)
-    xp = _respond(x, p_bar, k, lo, hi)
+    xp = np.maximum(x, lo)
+    if k < p_bar:
+        xp = np.minimum(xp, hi)
     billed = np.where(xp > hi, xp * p_bar + hi * (p - p_bar), xp * p)
     return billed, xp
+
+
+def customer_cost(x, p, delta, p_bar, center, k):
+    """Total per-draw customer cost: billed amount plus elasticity penalty."""
+    billed, xp = payment_energy(x, p, delta, p_bar, center, k)
+    return billed + k * np.maximum(x - xp, 0.0)
+
+
+def own_cost_beyond_band(d, m, p, q, delta):
+    """Expected cost of a type-m customer on its own option when d > delta."""
+    return m * p + (m * q / (4.0 * d)) * (d - delta) ** 2
+
+
+def _cross_inside(d, m, p, q, dj, mj, lo_b, hi_b):
+    return m * p
+
+
+def _cross_below(d, m, p, q, dj, mj, lo_b, hi_b):
+    return lo_b * p
+
+
+def _cross_above(d, m, p, q, dj, mj, lo_b, hi_b):
+    return (p - q) * hi_b + q * m
+
+
+def _cross_covers(d, m, p, q, dj, mj, lo_b, hi_b):
+    return (
+        q * m * m * d
+        + ((-4.0 * dj * p + q * (1.0 + dj) ** 2) * mj * mj
+           - 2.0 * (q * (1.0 + dj) - 2.0 * dj * p) * m * mj
+           + q * m * m) / d
+        + 2.0 * q * m * m
+        + 2.0 * (-q * (1.0 + dj) + 2.0 * p) * m * mj
+    ) / (4.0 * m)
+
+
+def _cross_lower_straddle(d, m, p, q, dj, mj, lo_b, hi_b):
+    return (p / (4.0 * m)) * (m * m * d + (m - lo_b) ** 2 / d + 2.0 * m * m + 2.0 * m * lo_b)
+
+
+def _cross_upper_straddle(d, m, p, q, dj, mj, lo_b, hi_b):
+    return (
+        (q - p) * m * m * d
+        + (q - p) * (hi_b - m) ** 2 / d
+        + 2.0 * q * m * m
+        + 2.0 * p * m * m
+        + 2.0 * (p - q) * m * hi_b
+    ) / (4.0 * m)
+
+
+#: the six cross-cost formulas in case order; see _cross_cases
+CROSS_COST_FORMULAS = (_cross_inside, _cross_below, _cross_above,
+                       _cross_covers, _cross_lower_straddle, _cross_upper_straddle)
+
+
+def _cross_cases(lo_u, hi_u, lo_b, hi_b):
+    """Conditions of the first five cross-cost cases, in priority order (inside,
+    below, above, covers, lower straddle); the upper straddle is the rest.
+
+    Works on arrays and on Python floats (where & combines bools). Boundary
+    points resolve to the formula approached from inside the band; all
+    formulas are continuous where they meet.
+    """
+    return [
+        (lo_u >= lo_b) & (hi_u <= hi_b),
+        hi_u < lo_b,
+        lo_u > hi_b,
+        (lo_u <= lo_b) & (hi_u >= hi_b),
+        hi_u <= hi_b,
+    ]
 
 
 def own_cost_curve(deltas, m, p, delta, p_bar, k):
@@ -49,8 +108,7 @@ def own_cost_curve(deltas, m, p, delta, p_bar, k):
     out = np.full(flat.shape, m * p)
     over = np.flatnonzero(~(flat <= delta))  # a NaN variation gets the formula: NaN
     if over.size:
-        dv = flat[over]
-        out[over] = m * p + (m * q / (4.0 * _nonzero(dv))) * (dv - delta) ** 2
+        out[over] = own_cost_beyond_band(flat[over], m, p, q, delta)
     return out.reshape(d.shape)
 
 
@@ -58,81 +116,26 @@ def cross_cost_curve(deltas, m, p, delta_j, p_bar, center_j, k):
     """Expected cost of a type-m customer on another type's option, per variation value.
 
     Piecewise in the relation of the demand range [m(1-D), m(1+D)] to the
-    option band; boundary points resolve to the formula approached from
-    inside the band (all branches are continuous where they meet). Each value
-    is computed only by the formula of its own case.
+    option band (_cross_cases). Each value is computed only by the formula of
+    its own case; a NaN variation falls to the upper straddle and gives NaN.
     """
     q = k if p_bar > k else p_bar
     d = np.asarray(deltas, dtype=np.float64)
     lo_b = center_j * (1.0 - delta_j)
     hi_b = center_j * (1.0 + delta_j)
-    mj = center_j
-
-    def inside(d):
-        return m * p + 0.0 * d
-
-    def below(d):
-        return lo_b * p + 0.0 * d
-
-    def above(d):
-        return (p - q) * hi_b + q * m + 0.0 * d
-
-    def covers(d):
-        return (
-            q * m * m * d
-            + ((-4.0 * delta_j * p + q * (1.0 + delta_j) ** 2) * mj * mj
-               - 2.0 * (q * (1.0 + delta_j) - 2.0 * delta_j * p) * m * mj
-               + q * m * m) / _nonzero(d)
-            + 2.0 * q * m * m
-            + 2.0 * (-q * (1.0 + delta_j) + 2.0 * p) * m * mj
-        ) / (4.0 * m)
-
-    def lower_straddle(d):
-        return (p / (4.0 * m)) * (
-            m * m * d + (m - lo_b) ** 2 / _nonzero(d) + 2.0 * m * m + 2.0 * m * lo_b
-        )
-
-    def upper_straddle(d):
-        return (
-            (q - p) * m * m * d
-            + (q - p) * (hi_b - m) ** 2 / _nonzero(d)
-            + 2.0 * q * m * m
-            + 2.0 * p * m * m
-            + 2.0 * (p - q) * m * hi_b
-        ) / (4.0 * m)
-
     flat = d.reshape(-1)
     out = np.empty(flat.shape)
     rest = np.ones(flat.shape, dtype=bool)
     cases = _cross_cases(m * (1.0 - flat), m * (1.0 + flat), lo_b, hi_b)
-    for cond, formula in zip(cases, (inside, below, above, covers, lower_straddle)):
+    for cond, formula in zip([*cases, np.True_], CROSS_COST_FORMULAS):
         sel = rest & cond
         if sel.any():
             pos = np.flatnonzero(sel)
-            out[pos] = formula(flat[pos])
+            out[pos] = formula(flat[pos], m, p, q, delta_j, center_j, lo_b, hi_b)
             rest &= ~cond  # a case that holds nowhere leaves rest as it is
             if not rest.any():
-                return out.reshape(d.shape)
-    pos = np.flatnonzero(rest)
-    out[pos] = upper_straddle(flat[pos])
+                break
     return out.reshape(d.shape)
-
-
-def _nonzero(d):
-    """d with zeros replaced by 1, so the B/d terms never divide by zero."""
-    return np.where(d > 0.0, d, 1.0)
-
-
-def _cross_cases(lo_u, hi_u, lo_b, hi_b):
-    """Conditions of the first five cross-cost cases, in priority order (inside,
-    below, above, covers, lower straddle); the upper straddle is the rest."""
-    return [
-        (lo_u >= lo_b) & (hi_u <= hi_b),
-        hi_u < lo_b,
-        lo_u > hi_b,
-        (lo_u <= lo_b) & (hi_u >= hi_b),
-        hi_u <= hi_b,
-    ]
 
 
 # ----------------------------------------------------------------------------

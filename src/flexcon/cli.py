@@ -17,7 +17,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from . import design, extensions, oracle, peak, profit
+from . import cost, design, extensions, oracle, peak, profit
 from ._integrate import ConvergenceError
 from .design import AUTO, BoundViolationError
 from .model import (
@@ -28,6 +28,7 @@ from .model import (
     BehaviorMode,
     ContractMenu,
     ContractOption,
+    EvaluationReport,
     MarketParams,
     TypeDistribution,
     VariationModel,
@@ -66,14 +67,35 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
+def _number(value, where: str, kind=float):
+    """value converted by kind (float or int); a value it rejects is a ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"'{where}' must be a number, got {value!r}") from exc
+
+
+def _field(section: dict, key: str, where: str, kind=float):
+    """The required number section[key]."""
+    return _number(_require(section, key, where), f"{where}.{key}", kind)
+
+
+def _numbers(section: dict, key: str, where: str) -> list[float]:
+    """The required list of numbers section[key]."""
+    values = _require(section, key, where)
+    if not isinstance(values, list):
+        raise ConfigError(f"'{where}.{key}' must be a list of numbers")
+    return [_number(v, f"{where}.{key}[{i}]") for i, v in enumerate(values)]
+
+
 def _parse_variation(v: dict) -> VariationModel:
     fam = v.get("family", UNIFORM)
     if fam == UNIFORM:
         return VariationModel.uniform()
     if fam != TRUNCATED_NORMAL:
         raise ConfigError(f"unknown variation family '{fam}'")
-    mu = float(_require(v, "mu", "variation"))
-    sigma = float(_require(v, "sigma", "variation"))
+    mu = _field(v, "mu", "variation")
+    sigma = _field(v, "sigma", "variation")
     if not (math.isfinite(mu) and math.isfinite(sigma)):
         raise ConfigError(f"'variation.mu' and 'variation.sigma' must be finite, got {mu}, {sigma}")
     if sigma <= 0.0:
@@ -93,22 +115,22 @@ def parse_config(raw: dict) -> ScenarioConfig:
         raise ConfigError("config requires 'params' and 'dist' sections")
     p = raw["params"]
     params = MarketParams(
-        p0=float(_require(p, "p0", "params")),
-        k=float(_require(p, "k", "params")),
-        c0=float(_require(p, "c0", "params")),
-        c_hat=float(_require(p, "c_hat", "params")),
-        N=int(_require(p, "N", "params")),
+        p0=_field(p, "p0", "params"),
+        k=_field(p, "k", "params"),
+        c0=_field(p, "c0", "params"),
+        c_hat=_field(p, "c_hat", "params"),
+        N=_field(p, "N", "params", int),
     )
     d = raw["dist"]
-    probs = [float(v) for v in _require(d, "probs", "dist")]
+    probs = _numbers(d, "probs", "dist")
     if "probs_renormalize" in d:
-        idx = int(d["probs_renormalize"])
+        idx = _field(d, "probs_renormalize", "dist", int)
         rest = sum(v for i, v in enumerate(probs) if i != idx)
         target = 1.0 - probs[idx]
         for i in range(len(probs)):
             if i != idx:
                 probs[i] = probs[i] * target / rest if rest > 0 else target / (len(probs) - 1)
-    dist = TypeDistribution(tuple(float(v) for v in _require(d, "means", "dist")), tuple(probs))
+    dist = TypeDistribution(tuple(_numbers(d, "means", "dist")), tuple(probs))
 
     variation = _parse_variation(raw.get("variation", {"family": UNIFORM}))
 
@@ -116,7 +138,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
     behavior = m.get("behavior", "optimistic")
     if behavior not in (OPTIMISTIC, PESSIMISTIC):
         raise ConfigError(f"unknown behavior mode '{behavior}'")
-    tie_tol = float(m["tie_tol"]) if "tie_tol" in m else 1e-9 * params.p0
+    tie_tol = _field(m, "tie_tol", "mode") if "tie_tol" in m else 1e-9 * params.p0
     if not (math.isfinite(tie_tol) and tie_tol >= 0.0):
         raise ConfigError(f"'mode.tie_tol' must be finite and nonnegative, got {tie_tol}")
     mode = BehaviorMode(behavior, tie_tol)
@@ -126,13 +148,14 @@ def parse_config(raw: dict) -> ScenarioConfig:
     if "menu" in raw:
         mm = raw["menu"]
         opts = []
-        for o in _require(mm, "options", "menu"):
+        for i, o in enumerate(_require(mm, "options", "menu")):
+            where = f"menu.options[{i}]"
             opts.append(
                 ContractOption(
-                    p=float(o["p"]),
-                    delta=float(o["delta"]),
-                    p_bar=float(o["p_bar"]),
-                    center=float(o["center"]),
+                    p=_field(o, "p", where),
+                    delta=_field(o, "delta", where),
+                    p_bar=_field(o, "p_bar", where),
+                    center=_field(o, "center", where),
                 )
             )
         menu = ContractMenu(tuple(opts))
@@ -143,11 +166,20 @@ def parse_config(raw: dict) -> ScenarioConfig:
     cm = None
     if "continuous_mean" in raw:
         c = raw["continuous_mean"]
-        cm = extensions.ContinuousMeanConfig(b=float(c["b"]), n=int(c["n"]))
+        b, n = _field(c, "b", "continuous_mean"), _field(c, "n", "continuous_mean", int)
+        try:
+            cm = extensions.ContinuousMeanConfig(b=b, n=n)
+        except ValueError as exc:
+            raise ConfigError(f"invalid continuous_mean: {exc}") from exc
 
     result = validate(params, dist, menu)
     if not result.ok:
         raise ConfigError("invalid scenario: " + "; ".join(result.violations))
+    if menu is not None and behavior == OPTIMISTIC:
+        try:
+            profit.check_optimistic_variation(menu, params, variation)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     return ScenarioConfig(
         params=params,
@@ -197,18 +229,18 @@ def _emit(header, rows, out_path):
 
 
 def _menu_rows(menu: ContractMenu, cfg: ScenarioConfig) -> list[list]:
-    from . import cost as cost_mod
+    return [
+        [i, opt.center, opt.p, opt.delta, opt.p_bar, cost.threshold(opt, cfg.params)]
+        for i, opt in enumerate(menu)
+    ]
 
-    rows = []
-    for i, opt in enumerate(menu):
-        rows.append(
-            [i, opt.center, opt.p, opt.delta, opt.p_bar, cost_mod.threshold(opt, cfg.params)]
-        )
-    return rows
+
+#: the columns every evaluation prints first
+_PROFIT_COLUMNS = ["baseline_profit", "menu_profit", "super_optimal_profit", "gain_ratio"]
 
 
 def _report_rows(report) -> tuple[list[str], list]:
-    header = ["baseline_profit", "menu_profit", "super_optimal_profit", "gain_ratio", "mode"]
+    header = [*_PROFIT_COLUMNS, "mode"]
     row = [
         report.baseline_profit,
         report.menu_profit,
@@ -229,7 +261,9 @@ def cmd_design(args) -> int:
     elif args.method == "super":
         out = design.super_optimal(cfg.params, cfg.dist)
     elif args.method == "robust":
-        eps = AUTO if args.epsilon in (None, "auto") else float(args.epsilon)
+        eps = AUTO if args.epsilon in (None, "auto") else _number(args.epsilon, "--epsilon")
+        if eps != AUTO and not (math.isfinite(eps) and eps > 0.0):
+            raise ConfigError(f"'--epsilon' must be positive and finite, got {eps}")
         out = design.robust_contract(cfg.params, cfg.dist, eps)
     else:
         raise ConfigError(f"unknown design method '{args.method}'")
@@ -238,11 +272,8 @@ def cmd_design(args) -> int:
     rows = _menu_rows(out.menu, cfg)
     rep_header, rep_row = _report_rows(out.report)
     rows_report = [rep_row + [out.epsilon, out.ic_verified]]
-    _emit(header, rows, None)
+    _emit(header, rows, args.out)
     _emit(rep_header + ["epsilon", "ic_verified"], rows_report, None)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            write_csv(fh, header, rows)
     return EXIT_OK
 
 
@@ -259,13 +290,10 @@ def cmd_evaluate(args) -> int:
     p0_profit = profit.baseline_profit(cfg.params, cfg.dist)
     menu_profit = _menu_profit(cfg)
     top = profit.super_optimal_profit(cfg.params, cfg.dist)
-    ratio = (menu_profit - p0_profit) / (top - p0_profit) if top > p0_profit else None
+    ratio = profit.gain_share(menu_profit, p0_profit, top)
     caps = profit.per_type_capacities(cfg.menu, cfg.params, cfg.dist, cfg.mode, cfg.variation)
-    header = ["baseline_profit", "menu_profit", "super_optimal_profit", "gain_ratio", "mode"]
-    row = [p0_profit, menu_profit, top, ratio, cfg.mode.mode]
-    for i, cap in enumerate(caps):
-        header.append(f"capacity_{i}")
-        row.append(cap)
+    report = EvaluationReport(p0_profit, menu_profit, top, ratio, tuple(caps), cfg.mode)
+    header, row = _report_rows(report)
     _emit(header, [row], args.out)
     return EXIT_OK
 
@@ -275,8 +303,10 @@ def cmd_simulate(args) -> int:
     if cfg.menu is None:
         raise ConfigError("simulate requires an explicit 'menu' section")
     sim_raw = cfg.sim or {}
-    trials = args.trials if args.trials is not None else int(sim_raw.get("trials", 0))
-    seed = args.seed if args.seed is not None else int(sim_raw.get("seed", 0))
+    trials = args.trials
+    if trials is None:
+        trials = _number(sim_raw.get("trials", 0), "sim.trials", int)
+    seed = args.seed if args.seed is not None else _number(sim_raw.get("seed", 0), "sim.seed", int)
     if trials < 1:
         raise ConfigError("simulate requires 'sim.trials' (or --trials)")
     sim_cfg = oracle.SimConfig(trials=trials, seed=seed, mode=cfg.mode)
@@ -338,26 +368,20 @@ _INT_PATHS = {"params.N", "continuous_mean.n"}
 
 
 def _set_path(raw: dict, path: str, value: float) -> None:
-    parts = []
-    for chunk in path.split("."):
-        if "[" in chunk:
-            name, idx = chunk[:-1].split("[")
-            parts.append(name)
-            parts.append(int(idx))
-        else:
-            parts.append(chunk)
-    node = raw
-    for part in parts[:-1]:
-        try:
-            node = node[part]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise ConfigError(
-                f"unknown field path '{path}'; valid paths: " + ", ".join(_valid_paths(raw))
-            ) from exc
-    last = parts[-1]
     try:
-        _ = node[last]
-    except (KeyError, IndexError, TypeError) as exc:
+        parts = []
+        for chunk in path.split("."):
+            if "[" in chunk:
+                name, idx = chunk[:-1].split("[")
+                parts += [name, int(idx)]
+            else:
+                parts.append(chunk)
+        node = raw
+        for part in parts[:-1]:
+            node = node[part]
+        last = parts[-1]
+        _ = node[last]  # the field must exist
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ConfigError(
             f"unknown field path '{path}'; valid paths: " + ", ".join(_valid_paths(raw))
         ) from exc
@@ -394,13 +418,12 @@ def _sweep_cell(raw: dict, assignments: list[tuple[str, float]]) -> list:
     else:
         p0_profit = profit.baseline_profit(cfg.params, cfg.dist)
         if cfg.menu is not None:
-            menu = cfg.menu
             menu_profit = _menu_profit(cfg)
         else:
             menu = design.approx_menu(cfg.params, cfg.dist)
             menu_profit = profit.total_profit(menu, cfg.params, cfg.dist, cfg.mode, cfg.variation)
         top = profit.super_optimal_profit(cfg.params, cfg.dist)
-        ratio = (menu_profit - p0_profit) / (top - p0_profit) if top > p0_profit else None
+        ratio = profit.gain_share(menu_profit, p0_profit, top)
     row = [v for _, v in assignments] + [p0_profit, menu_profit, top, ratio]
     if cfg.peak_block is not None:
         row.append(_peak_ratio(cfg))
@@ -456,12 +479,7 @@ def cmd_sweep(args) -> int:
     else:
         rows = [_sweep_cell(cfg.raw, cell) for cell in cells]
 
-    header = [path for path, _ in axes] + [
-        "baseline_profit",
-        "menu_profit",
-        "super_optimal_profit",
-        "gain_ratio",
-    ]
+    header = [path for path, _ in axes] + _PROFIT_COLUMNS
     if cfg.peak_block is not None:
         header.append("peak_ratio")
     _emit(header, rows, args.out)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._kernels import CROSS_COST_FORMULAS, _cross_cases, own_cost_beyond_band
 from .model import (
     BASELINE,
     OPTIMISTIC,
@@ -38,11 +39,9 @@ def effective_penalty(option: ContractOption, k: float) -> float:
 
 @dataclass(frozen=True)
 class CrossRangeGeometry:
-    """Which of the six demand-range/band relations holds, plus the largest
-    variation for which the whole demand range stays inside the band."""
+    """Which of the six demand-range/band relations holds."""
 
     case: str
-    delta_ij: float
 
 
 def containment_delta(m: float, option: ContractOption) -> float:
@@ -63,25 +62,23 @@ def _containment_delta_two_sided(m: float, option: ContractOption) -> float:
     return min(1.0 - option.band_lo / m, option.band_hi / m - 1.0)
 
 
+#: case letters in the order of _kernels._cross_cases
+_CASE_LETTERS = (CASE_B, CASE_A, CASE_F, CASE_E, CASE_C, CASE_D)
+
+
+def _cross_case(m: float, delta_cust: float, lo_b: float, hi_b: float) -> int:
+    """Index of the first kernel cross case that holds for the band [lo_b, hi_b];
+    5 (upper straddle) when none does."""
+    holds = _cross_cases(m * (1.0 - delta_cust), m * (1.0 + delta_cust), lo_b, hi_b)
+    holds.append(True)
+    return holds.index(True)
+
+
 def classify_cross_range(m: float, delta_cust: float, option: ContractOption) -> CrossRangeGeometry:
     """Classify the demand range of a (m, delta_cust) customer against an option band."""
     _check_delta(delta_cust)
-    lo_u, hi_u = m * (1.0 - delta_cust), m * (1.0 + delta_cust)
-    lo_b, hi_b = option.band_lo, option.band_hi
-    d_ij = containment_delta(m, option)
-    if lo_u >= lo_b and hi_u <= hi_b:
-        case = CASE_B
-    elif hi_u < lo_b:
-        case = CASE_A
-    elif lo_u > hi_b:
-        case = CASE_F
-    elif lo_u <= lo_b and hi_u >= hi_b:
-        case = CASE_E
-    elif hi_u <= hi_b:
-        case = CASE_C
-    else:
-        case = CASE_D
-    return CrossRangeGeometry(case, d_ij)
+    case = _cross_case(m, delta_cust, option.band_lo, option.band_hi)
+    return CrossRangeGeometry(_CASE_LETTERS[case])
 
 
 def _check_delta(delta_cust: float) -> None:
@@ -123,8 +120,7 @@ def expected_cost_own(m: float, delta_cust: float, option: ContractOption, k: fl
     _check_delta(delta_cust)
     if delta_cust <= option.delta:
         return m * option.p
-    q = effective_penalty(option, k)
-    return m * option.p + (m * q / (4.0 * delta_cust)) * (delta_cust - option.delta) ** 2
+    return own_cost_beyond_band(delta_cust, m, option.p, effective_penalty(option, k), option.delta)
 
 
 def expected_cost_cross(m_i: float, delta_cust: float, option_j: ContractOption, k: float) -> float:
@@ -133,36 +129,11 @@ def expected_cost_cross(m_i: float, delta_cust: float, option_j: ContractOption,
     Dispatches on the six demand-range/band cases; continuous in the variation
     degree across every case boundary.
     """
-    geo = classify_cross_range(m_i, delta_cust, option_j)
-    m, d = m_i, delta_cust
-    p, q = option_j.p, effective_penalty(option_j, k)
-    mj, dj = option_j.center, option_j.delta
-    lo_b, hi_b = option_j.band_lo, option_j.band_hi
-    if geo.case == CASE_B:
-        return m * p
-    if geo.case == CASE_A:
-        return lo_b * p
-    if geo.case == CASE_F:
-        return (p - q) * hi_b + q * m
-    if geo.case == CASE_C:
-        return (p / (4.0 * m)) * (m * m * d + (m - lo_b) ** 2 / d + 2.0 * m * m + 2.0 * m * lo_b)
-    if geo.case == CASE_D:
-        return (
-            (q - p) * m * m * d
-            + (q - p) * (hi_b - m) ** 2 / d
-            + 2.0 * q * m * m
-            + 2.0 * p * m * m
-            + 2.0 * (p - q) * m * hi_b
-        ) / (4.0 * m)
-    # covering case: band strictly inside the demand range
-    return (
-        q * m * m * d
-        + ((-4.0 * dj * p + q * (1.0 + dj) ** 2) * mj * mj
-           - 2.0 * (q * (1.0 + dj) - 2.0 * dj * p) * m * mj
-           + q * m * m) / d
-        + 2.0 * q * m * m
-        + 2.0 * (-q * (1.0 + dj) + 2.0 * p) * m * mj
-    ) / (4.0 * m)
+    _check_delta(delta_cust)
+    o = option_j
+    lo_b, hi_b = o.band_lo, o.band_hi
+    formula = CROSS_COST_FORMULAS[_cross_case(m_i, delta_cust, lo_b, hi_b)]
+    return formula(delta_cust, m_i, o.p, effective_penalty(o, k), o.delta, o.center, lo_b, hi_b)
 
 
 def expected_cost_for(m: float, delta_cust: float, option: ContractOption, k: float) -> float:

@@ -63,7 +63,7 @@ class BoundCertificate:
     epsilon: float
 
 
-def _approx_delta(m: float, m_max: float) -> float:
+def approx_delta(m: float, m_max: float) -> float:
     """Band width of the approximate menu: wide-open for small types, tuned
     to balance capacity savings against participation for types near the top."""
     ratio = m_max / m
@@ -75,7 +75,7 @@ def approx_menu(params: MarketParams, dist: TypeDistribution, epsilon: float = 0
     p_bar = HIGH_PENALTY_FACTOR * params.k
     return ContractMenu(
         tuple(
-            ContractOption(params.p0 - epsilon, _approx_delta(m, dist.m_max), p_bar, m)
+            ContractOption(params.p0 - epsilon, approx_delta(m, dist.m_max), p_bar, m)
             for m in dist.means
         )
     )
@@ -288,23 +288,18 @@ def pessimistic_profit(
 
 
 def _pessimistic_report(
-    menu: ContractMenu,
-    params: MarketParams,
-    dist: TypeDistribution,
-    ic_holds: bool,
-    variation: VariationModel = VariationModel.uniform(),
+    menu: ContractMenu, params: MarketParams, dist: TypeDistribution, ic_holds: bool
 ) -> EvaluationReport:
+    """profit.gain_ratio in the pessimistic mode; a menu that fails the
+    incentive check takes its profit and capacities from the choice profile."""
     mode = BehaviorMode.pessimistic(params)
     if ic_holds:
-        value = profit.total_profit(menu, params, dist, mode, variation)
-    else:
-        value = profit._profit_by_integration(menu, params, dist, mode, variation)
+        return profit.gain_ratio(menu, params, dist, mode)
+    value = profit._profit_by_integration(menu, params, dist, mode, VariationModel.uniform())
+    caps = profit.per_type_capacities(menu, params, dist, mode, tie_structure=False)
     p0_profit = profit.baseline_profit(params, dist)
     top = profit.super_optimal_profit(params, dist)
-    ratio = (value - p0_profit) / (top - p0_profit) if top > p0_profit else None
-    caps = profit.per_type_capacities(
-        menu, params, dist, mode, variation, tie_structure=None if ic_holds else False
-    )
+    ratio = profit.gain_share(value, p0_profit, top)
     return EvaluationReport(p0_profit, value, top, ratio, tuple(caps), mode)
 
 

@@ -14,7 +14,7 @@ from scipy.special import erfinv
 
 from . import cost, profit
 from ._integrate import bisect_root, golden_section_min
-from .design import HIGH_PENALTY_FACTOR, DesignOutput, verify_ic
+from .design import HIGH_PENALTY_FACTOR, DesignOutput, approx_delta, approx_menu, verify_ic
 from .model import (
     BehaviorMode,
     ContractMenu,
@@ -73,6 +73,22 @@ def _tn_delta_objective(m: float, m_max: float, mu: float, sigma: float):
     return objective
 
 
+def tn_variation_menu(
+    params: MarketParams, dist: TypeDistribution, mu: float, sigma: float, epsilon: float = 0.0
+) -> ContractMenu:
+    """Menu for truncated-normal variation at price p0 - epsilon.
+
+    Each band width minimizes the expected-capacity objective by a bracketed
+    one-dimensional search.
+    """
+    p_bar = HIGH_PENALTY_FACTOR * params.k
+    opts = []
+    for m in dist.means:
+        delta, _ = golden_section_min(_tn_delta_objective(m, dist.m_max, mu, sigma), 0.0, 1.0)
+        opts.append(ContractOption(params.p0 - epsilon, delta, p_bar, m))
+    return ContractMenu(tuple(opts))
+
+
 def tn_variation_approx_contract(
     params: MarketParams,
     dist: TypeDistribution,
@@ -80,25 +96,20 @@ def tn_variation_approx_contract(
     sigma: float,
     epsilon: float = 0.0,
 ) -> DesignOutput:
-    """Approximate menu for truncated-normal variation.
+    """Approximate menu for truncated-normal variation (tn_variation_menu).
 
-    Each band width minimizes the expected-capacity objective by a bracketed
-    one-dimensional search; prices sit at the baseline (or epsilon below it
-    for the adverse-tie-breaking variant).
+    Prices sit at the baseline, or epsilon below it for the
+    adverse-tie-breaking variant.
     """
     if epsilon < 0.0:
         raise ValueError("epsilon must be nonnegative")
     variation = VariationModel.truncated_normal(mu, sigma)
-    opts = []
-    for m in dist.means:
-        delta, _ = golden_section_min(_tn_delta_objective(m, dist.m_max, mu, sigma), 0.0, 1.0)
-        opts.append(ContractOption(params.p0 - epsilon, delta, HIGH_PENALTY_FACTOR * params.k, m))
-    menu = ContractMenu(tuple(opts))
+    menu = tn_variation_menu(params, dist, mu, sigma, epsilon)
     mode = BehaviorMode.pessimistic(params) if epsilon > 0.0 else BehaviorMode.optimistic(params)
     p0_profit = profit.baseline_profit(params, dist)
     value = profit.total_profit(menu, params, dist, mode, variation)
     top = tn_variation_super_optimal_profit(params, dist, mu, sigma)
-    ratio = (value - p0_profit) / (top - p0_profit) if top > p0_profit else None
+    ratio = profit.gain_share(value, p0_profit, top)
     caps = profit.per_type_capacities(menu, params, dist, mode, variation)
     report = EvaluationReport(p0_profit, value, top, ratio, tuple(caps), mode)
     ok, _ = verify_ic(menu, params, dist)
@@ -147,8 +158,7 @@ def tn_demand_expected_cost(
         raise ValueError("sigma must be positive")
     if option.p_bar <= k:
         raise ValueError("truncated-normal demand cost covers the high-penalty regime only")
-    if not 0.0 <= delta_cust <= 1.0:
-        raise ValueError(f"variation degree must lie in [0, 1], got {delta_cust}")
+    cost._check_delta(delta_cust)
     d = option.delta
     if delta_cust <= d:
         return m * option.p
@@ -265,8 +275,8 @@ class ContinuousMeanConfig:
     n: int
 
     def __post_init__(self):
-        if self.b <= 0.0:
-            raise ValueError("b must be positive")
+        if not (math.isfinite(self.b) and self.b > 0.0):
+            raise ValueError("b must be positive and finite")
         if self.n < 1:
             raise ValueError("n must be at least 1")
 
@@ -279,14 +289,10 @@ def continuous_mean_menu(cfg: ContinuousMeanConfig, params: MarketParams) -> Con
     """Menu for a continuum of mean usages: one option per bucket midpoint,
     band widths from the discrete approximate rule against the top midpoint."""
     centers = cfg.centers
-    m_max = centers[-1]
     p_bar = HIGH_PENALTY_FACTOR * params.k
-    opts = []
-    for m in centers:
-        ratio = m_max / m
-        delta = ratio - 0.5 if ratio <= 1.5 else 1.0
-        opts.append(ContractOption(params.p0, delta, p_bar, m))
-    return ContractMenu(tuple(opts))
+    return ContractMenu(
+        tuple(ContractOption(params.p0, approx_delta(m, centers[-1]), p_bar, m) for m in centers)
+    )
 
 
 def continuous_mean_profits(
@@ -379,13 +385,11 @@ def study_tn_variation_optimistic(
         sigma = rng.uniform(1e-3, 10.0)
         variation = VariationModel.truncated_normal(mu, sigma)
         p0_profit = profit.baseline_profit(params, dist)
-        menu_value = 0.0
-        for i, m in enumerate(dist.means):
-            delta, _ = golden_section_min(_tn_delta_objective(m, dist.m_max, mu, sigma), 0.0, 1.0)
-            opt = ContractOption(params.p0, delta, HIGH_PENALTY_FACTOR * params.k, m)
-            menu_value += profit.profit_high(i, opt, params, dist, variation).expected_profit
+        menu = tn_variation_menu(params, dist, mu, sigma)
+        mode = BehaviorMode.optimistic(params)
+        menu_value = profit.total_profit(menu, params, dist, mode, variation)
         top = tn_variation_super_optimal_profit(params, dist, mu, sigma)
-        ratios[t] = (menu_value - p0_profit) / (top - p0_profit)
+        ratios[t] = profit.gain_share(menu_value, p0_profit, top)
     return ratios
 
 
@@ -410,17 +414,12 @@ def study_tn_variation_pessimistic(trials: int, seed: int) -> np.ndarray:
         mu = rng.uniform(0.0, 1.0)
         sigma = rng.uniform(1e-3, 10.0)
         variation = VariationModel.truncated_normal(mu, sigma)
-        eps = 0.001 * p0
-        opts = []
-        for m in dist.means:
-            delta, _ = golden_section_min(_tn_delta_objective(m, dist.m_max, mu, sigma), 0.0, 1.0)
-            opts.append(ContractOption(p0 - eps, delta, HIGH_PENALTY_FACTOR * params.k, m))
-        menu = ContractMenu(tuple(opts))
+        menu = tn_variation_menu(params, dist, mu, sigma, epsilon=0.001 * p0)
         mode = BehaviorMode.pessimistic(params)
         value = profit.total_profit(menu, params, dist, mode, variation)
         p0_profit = profit.baseline_profit(params, dist)
         top = tn_variation_super_optimal_profit(params, dist, mu, sigma)
-        ratios[t] = (value - p0_profit) / (top - p0_profit)
+        ratios[t] = profit.gain_share(value, p0_profit, top)
     return ratios
 
 
@@ -445,11 +444,8 @@ def study_tn_demand_optimistic(trials: int, seed: int) -> np.ndarray:
         sigma = rng.uniform(1e-3, 10.0)
         p0_profit = profit.baseline_profit(params, dist)
         menu_value = 0.0
-        for i, m in enumerate(dist.means):
-            ratio = dist.m_max / m
-            delta = ratio - 0.5 if ratio <= 1.5 else 1.0
-            opt = ContractOption(p0, delta, HIGH_PENALTY_FACTOR * params.k, m)
+        for i, opt in enumerate(approx_menu(params, dist)):
             menu_value += tn_demand_profit_high(i, opt, params, dist, sigma)
         top = tn_demand_super_optimal_profit(params, dist, sigma)
-        ratios[t] = (menu_value - p0_profit) / (top - p0_profit)
+        ratios[t] = profit.gain_share(menu_value, p0_profit, top)
     return ratios

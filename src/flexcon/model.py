@@ -81,11 +81,16 @@ class VariationModel:
             raise ValueError("sigma must be positive")
         return cls(TRUNCATED_NORMAL, mu, sigma)
 
+    def _edges(self) -> tuple[float, float]:
+        """CDF of the untruncated normal at 0 and at 1: Phi(-mu/sigma), Phi((1-mu)/sigma)."""
+        return ndtr((0.0 - self.mu) / self.sigma), ndtr((1.0 - self.mu) / self.sigma)
+
     def normaliser(self) -> float:
         """Probability mass of the untruncated family on [0, 1]."""
         if self.family == UNIFORM:
             return 1.0
-        return float(ndtr((1.0 - self.mu) / self.sigma) - ndtr((0.0 - self.mu) / self.sigma))
+        lo, hi = self._edges()
+        return float(hi - lo)
 
     def cdf(self, x: float) -> float:
         """P(variation <= x); clipped to [0, 1] outside the support."""
@@ -95,8 +100,7 @@ class VariationModel:
             return 1.0
         if self.family == UNIFORM:
             return x
-        lo = ndtr((0.0 - self.mu) / self.sigma)
-        hi = ndtr((1.0 - self.mu) / self.sigma)
+        lo, hi = self._edges()
         return float((ndtr((x - self.mu) / self.sigma) - lo) / (hi - lo))
 
     def mass(self, lo: float, hi: float) -> float:
@@ -107,8 +111,7 @@ class VariationModel:
         """Inverse CDF; exact and rejection-free, so sample streams are stable."""
         if self.family == UNIFORM:
             return u
-        a = ndtr((0.0 - self.mu) / self.sigma)
-        b = ndtr((1.0 - self.mu) / self.sigma)
+        a, b = self._edges()
         return self.mu + self.sigma * ndtri(a + u * (b - a))
 
 
@@ -203,6 +206,11 @@ class ValidationResult:
         return self.ok
 
 
+def _finite(*values) -> bool:
+    """True when no value is NaN or infinite (a Python int always is finite)."""
+    return all(isinstance(v, int) or math.isfinite(v) for v in values)
+
+
 def validate(
     params: MarketParams,
     dist: TypeDistribution,
@@ -215,6 +223,8 @@ def validate(
     """
     bad: list[str] = []
 
+    if not _finite(params.p0, params.k, params.c0, params.c_hat, params.N):
+        bad.append("params finite")
     if not params.p0 > 0.0:
         bad.append("p0 > 0")
     if not params.c0 >= 0.0:
@@ -230,6 +240,8 @@ def validate(
 
     if len(dist.means) != len(dist.probs):
         bad.append("len(means) == len(probs)")
+    if not _finite(*dist.means, *dist.probs):
+        bad.append("means and probs finite")
     if any(m <= 0.0 for m in dist.means):
         bad.append("means > 0")
     if any(b <= a for a, b in zip(dist.means, dist.means[1:])):
@@ -244,6 +256,8 @@ def validate(
             bad.append("menu length == number of types")
         for i, opt in enumerate(menu):
             tag = f"option {i}"
+            if not _finite(opt.p, opt.delta, opt.p_bar, opt.center):
+                bad.append(f"{tag}: fields finite")
             if not 0.0 <= opt.delta <= 1.0:
                 bad.append(f"{tag}: 0 <= delta <= 1")
             if not opt.p <= params.p0:

@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import cost
 from ._integrate import ConvergenceError, bisect_root
@@ -184,10 +183,6 @@ def pessimistic_capacity(
     return expected
 
 
-def _menu_thresholds(menu: ContractMenu, params: MarketParams) -> list[float]:
-    return [cost.threshold(opt, params) for opt in menu]
-
-
 def _pessimistic_analytic(
     menu: ContractMenu,
     params: MarketParams,
@@ -248,17 +243,6 @@ def account_for_choice(
     opt = menu[choice]
     pay, en = cost.expected_payment_energy(m, delta_cust, opt, params.k)
     return PerCustomerAccount(pay, en, option_capacity(opt, params))
-
-
-def _profit_at(
-    m: float,
-    delta_cust: float,
-    menu: ContractMenu,
-    params: MarketParams,
-    mode: BehaviorMode,
-) -> float:
-    choice = cost.choose_option(m, delta_cust, menu, params, mode)
-    return profit_for_choice(m, delta_cust, choice, menu, params)
 
 
 def profit_for_choice(
@@ -376,9 +360,7 @@ def variation_weight(variation: VariationModel):
     """Probability density of the variation degree on [0, 1]."""
     if variation.family == UNIFORM:
         return lambda d: 1.0
-    a = (0.0 - variation.mu) / variation.sigma
-    b = (1.0 - variation.mu) / variation.sigma
-    z = (ndtr(b) - ndtr(a)) * variation.sigma * math.sqrt(2.0 * math.pi)
+    z = variation.normaliser() * variation.sigma * math.sqrt(2.0 * math.pi)
     return lambda d: math.exp(-0.5 * ((d - variation.mu) / variation.sigma) ** 2) / z
 
 
@@ -425,6 +407,17 @@ def _profit_by_integration(
     return total
 
 
+def check_optimistic_variation(
+    menu: ContractMenu, params: MarketParams, variation: VariationModel
+) -> None:
+    """Raise ValueError when an optimistic total needs the low-penalty closed
+    form, which holds under uniform variation only."""
+    if variation.family != UNIFORM and any(
+        cost.regime(opt, params.k) == cost.LOW_PENALTY for opt in menu
+    ):
+        raise ValueError("low-penalty analytics require uniform variation")
+
+
 def total_profit(
     menu: ContractMenu,
     params: MarketParams,
@@ -443,13 +436,12 @@ def total_profit(
     out of depth.
     """
     if mode.mode == OPTIMISTIC:
+        check_optimistic_variation(menu, params, variation)
         total = 0.0
         for i, opt in enumerate(menu):
             if cost.regime(opt, params.k) == cost.HIGH_PENALTY:
                 total += profit_high(i, opt, params, dist, variation).expected_profit
             else:
-                if variation.family != UNIFORM:
-                    raise ValueError("low-penalty analytics require uniform variation")
                 total += profit_low(i, opt, params, dist).expected_profit
         return total
 
@@ -515,18 +507,24 @@ def gain_ratio(
 ) -> EvaluationReport:
     """Fraction of the maximum profit improvement over baseline that a menu captures.
 
-    The denominator uses the super-optimal profit, making the reported ratio a
-    conservative lower bound on the ratio against the true constrained optimum.
+    The denominator uses the super-optimal profit, the optimum under uniform
+    variation. Under uniform variation that profit bounds every menu, so the
+    ratio is a conservative lower bound on the ratio against the true
+    constrained optimum. Under truncated-normal variation it is no bound, and
+    the ratio can exceed 1.
     """
     p0_profit = baseline_profit(params, dist)
     menu_value = total_profit(menu, params, dist, mode, variation)
     top = super_optimal_profit(params, dist)
-    if top > p0_profit:
-        ratio = (menu_value - p0_profit) / (top - p0_profit)
-    else:
-        ratio = None
+    ratio = gain_share(menu_value, p0_profit, top)
     caps = per_type_capacities(menu, params, dist, mode, variation)
     return EvaluationReport(p0_profit, menu_value, top, ratio, tuple(caps), mode)
+
+
+def gain_share(value: float, baseline: float, top: float) -> float | None:
+    """(value - baseline) / (top - baseline): the share of the gain over the
+    baseline that a profit captures; None when top <= baseline."""
+    return (value - baseline) / (top - baseline) if top > baseline else None
 
 
 def per_type_capacities(

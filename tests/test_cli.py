@@ -216,6 +216,101 @@ def test_bad_variation_or_mode_is_a_config_error(tmp_path, capsys, section, valu
     assert "Traceback" not in err
 
 
+def _scenario():
+    return {
+        "schema": 1,
+        "params": {"p0": 10.0, "k": 20.0, "c0": 1.0, "c_hat": 2.0, "N": 3},
+        "dist": {"means": [1.0, 1.2], "probs": [0.5, 0.5]},
+        "menu": {
+            "options": [
+                {"p": 9.99, "delta": 0.7, "p_bar": 40.0, "center": 1.0},
+                {"p": 9.99, "delta": 0.5, "p_bar": 40.0, "center": 1.2},
+            ]
+        },
+        "mode": {"behavior": "pessimistic"},
+        "sim": {"trials": 2000, "seed": 1},
+    }
+
+
+def _set(payload, path, value):
+    *parents, last = path
+    node = payload
+    for part in parents:
+        node = node[part]
+    node[last] = value
+
+
+NAN, INF = float("nan"), float("inf")
+SWEEP = ["--axis", "params.c_hat=1.0:2.0:2"]
+
+
+@pytest.mark.parametrize(
+    "command, path, value, message",
+    [
+        (["design", "--method", "approx"], ("dist", "means", 1), NAN, "means and probs finite"),
+        (["design", "--method", "robust"], ("dist", "means", 1), NAN, "means and probs finite"),
+        (["sweep", *SWEEP], ("dist", "means", 1), NAN, "means and probs finite"),
+        (["evaluate"], ("params", "k"), INF, "params finite"),
+        (["evaluate"], ("params", "N"), NAN, "'params.N' must be a number, got nan"),
+        (["evaluate"], ("params", "N"), INF, "'params.N' must be a number, got inf"),
+        (["evaluate"], ("params", "p0"), "abc", "'params.p0' must be a number, got 'abc'"),
+        (["evaluate"], ("params", "c0"), None, "'params.c0' must be a number, got None"),
+        (["evaluate"], ("dist", "probs", 0), "x", "'dist.probs[0]' must be a number"),
+        (["evaluate"], ("dist", "means"), 1.0, "'dist.means' must be a list of numbers"),
+        (["evaluate"], ("menu", "options", 0, "p_bar"), INF, "option 0: fields finite"),
+        (["evaluate"], ("menu", "options", 1, "p"), -INF, "option 1: fields finite"),
+        (["evaluate"], ("menu", "options", 1, "p"), [9.0], "'menu.options[1].p' must be a number"),
+        (["simulate"], ("sim", "trials"), "many", "'sim.trials' must be a number"),
+    ],
+    ids=[
+        "approx-mean-nan", "robust-mean-nan", "sweep-mean-nan", "k-inf", "N-nan", "N-inf",
+        "p0-text", "c0-null", "prob-text", "means-scalar", "p_bar-inf", "p-minus-inf",
+        "p-list", "trials-text",
+    ],
+)
+def test_non_finite_or_malformed_number_is_a_config_error(
+    tmp_path, capsys, command, path, value, message
+):
+    payload = _scenario()
+    code, _ = run_cli([*command, "--config", write_config(tmp_path, "ok.json", payload)])
+    assert code == 0
+    _set(payload, path, value)
+    code, out = run_cli([*command, "--config", write_config(tmp_path, "bad.json", payload)])
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command", [["evaluate"], ["simulate"], ["sweep", *SWEEP]], ids=["evaluate", "simulate", "sweep"]
+)
+def test_optimistic_low_penalty_menu_needs_uniform_variation(tmp_path, capsys, command):
+    payload = _scenario()
+    for o in payload["menu"]["options"]:
+        o["p_bar"] = 15.0  # below k: low penalty
+    payload["variation"] = {"family": TN, "mu": 0.3, "sigma": 0.5}
+    code, _ = run_cli([*command, "--config", write_config(tmp_path, "pes.json", payload)])
+    assert code == 0  # the pessimistic mode integrates the choice profile
+    payload["mode"] = {"behavior": "optimistic"}
+    code, out = run_cli([*command, "--config", write_config(tmp_path, "opt.json", payload)])
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err == "config error: low-penalty analytics require uniform variation\n"
+
+
+@pytest.mark.parametrize("epsilon", ["abc", "nan", "inf", "-1", "0"])
+def test_bad_robust_discount_is_a_config_error(two_type_config, capsys, epsilon):
+    argv = ["design", "--method", "robust", "--epsilon", epsilon, "--config", two_type_config]
+    code, out = run_cli(argv)
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("config error: '--epsilon' must be") and err.count("\n") == 1
+
+
 def test_simulate_reports_pass_flag(sim_config):
     code, out = run_cli(["simulate", "--config", sim_config])
     assert code == 0
