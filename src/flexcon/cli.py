@@ -57,8 +57,19 @@ class ScenarioConfig:
     subscription: str
     sim: dict | None
     continuous_mean: extensions.ContinuousMeanConfig | None
-    peak_block: dict | None
+    peak_block: PeakBlock | None
     raw: dict
+
+
+@dataclass(frozen=True)
+class PeakBlock:
+    """The validated `peak` block of a sweep config."""
+
+    model: peak.SlotModel
+    mean_ratio: float
+    epsilon: float
+    trials: int
+    seed: int
 
 
 def _require(section: dict, key: str, where: str):
@@ -82,10 +93,14 @@ def _field(section: dict, key: str, where: str, kind=float):
 
 def _numbers(section: dict, key: str, where: str) -> list[float]:
     """The required list of numbers section[key]."""
-    values = _require(section, key, where)
+    return _number_list(_require(section, key, where), f"{where}.{key}")
+
+
+def _number_list(values, where: str) -> list[float]:
+    """values, which must be a list of numbers; `where` names it in errors."""
     if not isinstance(values, list):
-        raise ConfigError(f"'{where}.{key}' must be a list of numbers")
-    return [_number(v, f"{where}.{key}[{i}]") for i, v in enumerate(values)]
+        raise ConfigError(f"'{where}' must be a list of numbers")
+    return [_number(v, f"{where}[{i}]") for i, v in enumerate(values)]
 
 
 def _parse_variation(v: dict) -> VariationModel:
@@ -106,6 +121,43 @@ def _parse_variation(v: dict) -> VariationModel:
             f"truncated normal with mu={mu}, sigma={sigma} has no probability mass on [0, 1]"
         )
     return variation
+
+
+def _parse_peak(pb, params: MarketParams) -> PeakBlock:
+    if not isinstance(pb, dict):
+        raise ConfigError("'peak' must be an object")
+    ratio = _number(pb.get("mean_ratio", 2.0), "peak.mean_ratio")
+    epsilon = _number(pb.get("epsilon", 0.1 * params.p0), "peak.epsilon")
+    p_energy = _field(pb, "p_energy", "peak")
+    p_demand = _field(pb, "p_demand", "peak")
+    means = _numbers(pb, "slot_means_low", "peak")
+    slot_probs = _require(pb, "slot_probs", "peak")
+    if not isinstance(slot_probs, list) or len(slot_probs) != len(means):
+        raise ConfigError("'peak.slot_probs' must be a list with one entry per slot mean")
+    probs = [_number_list(row, f"peak.slot_probs[{t}]") for t, row in enumerate(slot_probs)]
+    named = {"mean_ratio": ratio, "epsilon": epsilon, "p_energy": p_energy, "p_demand": p_demand}
+    for name, value in named.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"'peak.{name}' must be finite, got {value}")
+    dists = tuple(TypeDistribution((m1, ratio * m1), tuple(row)) for m1, row in zip(means, probs))
+    for t, dist in enumerate(dists):
+        result = validate(params, dist)
+        if not result.ok:
+            raise ConfigError(f"invalid peak slot {t}: " + "; ".join(result.violations))
+    trials = _number(pb.get("trials", 20000), "peak.trials", int)
+    if trials < 1:
+        raise ConfigError(f"'peak.trials' must be at least 1, got {trials}")
+    seed = _number(pb.get("seed", 20240901), "peak.seed", int)
+    try:
+        model = peak.SlotModel(
+            hours_per_slot=_field(pb, "hours_per_slot", "peak", int),
+            per_slot_dist=dists,
+            p_energy=p_energy,
+            p_demand=p_demand,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"invalid peak block: {exc}") from exc
+    return PeakBlock(model, ratio, epsilon, trials, seed)
 
 
 def parse_config(raw: dict) -> ScenarioConfig:
@@ -190,7 +242,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
         subscription=subscription,
         sim=raw.get("sim"),
         continuous_mean=cm,
-        peak_block=raw.get("peak"),
+        peak_block=None if raw.get("peak") is None else _parse_peak(raw["peak"], params),
         raw=raw,
     )
 
@@ -432,25 +484,14 @@ def _sweep_cell(raw: dict, assignments: list[tuple[str, float]]) -> list:
 
 def _peak_ratio(cfg: ScenarioConfig) -> float:
     pb = cfg.peak_block
-    dists = []
-    ratio = float(pb.get("mean_ratio", 2.0))
-    for m1, probs in zip(pb["slot_means_low"], pb["slot_probs"]):
-        dists.append(TypeDistribution((float(m1), ratio * float(m1)), tuple(probs)))
-    model = peak.SlotModel(
-        hours_per_slot=int(pb["hours_per_slot"]),
-        per_slot_dist=tuple(dists),
-        p_energy=float(pb["p_energy"]),
-        p_demand=float(pb["p_demand"]),
-    )
-    eps = float(pb.get("epsilon", 0.1 * cfg.params.p0))
     rows = peak.compare_profits(
-        model,
+        pb.model,
         cfg.params,
-        eps,
+        pb.epsilon,
         [cfg.params.c_hat],
-        [ratio],
-        trials=int(pb.get("trials", 20000)),
-        seed=int(pb.get("seed", 20240901)),
+        [pb.mean_ratio],
+        trials=pb.trials,
+        seed=pb.seed,
     )
     return rows[0]["profit_ratio"]
 

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfinv
 
 from . import cost, profit
 from ._integrate import bisect_root, golden_section_min
@@ -241,6 +240,8 @@ def tn_demand_super_optimal_profit(
     with the capacity-to-elasticity price ratio (closed form via the inverse
     error function); the outer threshold search is one-dimensional.
     """
+    from scipy.special import erfinv
+
     k, ch = params.k, params.c_hat
     total = 0.0
     for m, h in zip(dist.means, dist.probs):

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-from scipy.special import ndtr, ndtri
+from functools import cached_property
 
 PROB_SUM_TOL = 1e-12
 
@@ -22,6 +21,23 @@ PESSIMISTIC = "pessimistic"
 
 #: choose_option sentinel for the flat-price baseline scheme.
 BASELINE = -1
+
+
+# Only truncated-normal variation needs scipy.special. Each stub below imports
+# its ufunc on the first call and rebinds the module global to it, so later
+# calls look up the ufunc itself and uniform-variation runs never load scipy.
+def ndtr(x):
+    global ndtr
+    from scipy.special import ndtr
+
+    return ndtr(x)
+
+
+def ndtri(x):
+    global ndtri
+    from scipy.special import ndtri
+
+    return ndtri(x)
 
 
 @dataclass(frozen=True)
@@ -81,15 +97,18 @@ class VariationModel:
             raise ValueError("sigma must be positive")
         return cls(TRUNCATED_NORMAL, mu, sigma)
 
+    @cached_property
     def _edges(self) -> tuple[float, float]:
-        """CDF of the untruncated normal at 0 and at 1: Phi(-mu/sigma), Phi((1-mu)/sigma)."""
+        """CDF of the untruncated normal at 0 and at 1: Phi(-mu/sigma), Phi((1-mu)/sigma).
+
+        Computed once per instance; the frozen dataclass still has a __dict__."""
         return ndtr((0.0 - self.mu) / self.sigma), ndtr((1.0 - self.mu) / self.sigma)
 
     def normaliser(self) -> float:
         """Probability mass of the untruncated family on [0, 1]."""
         if self.family == UNIFORM:
             return 1.0
-        lo, hi = self._edges()
+        lo, hi = self._edges
         return float(hi - lo)
 
     def cdf(self, x: float) -> float:
@@ -100,7 +119,7 @@ class VariationModel:
             return 1.0
         if self.family == UNIFORM:
             return x
-        lo, hi = self._edges()
+        lo, hi = self._edges
         return float((ndtr((x - self.mu) / self.sigma) - lo) / (hi - lo))
 
     def mass(self, lo: float, hi: float) -> float:
@@ -111,7 +130,7 @@ class VariationModel:
         """Inverse CDF; exact and rejection-free, so sample streams are stable."""
         if self.family == UNIFORM:
             return u
-        a, b = self._edges()
+        a, b = self._edges
         return self.mu + self.sigma * ndtri(a + u * (b - a))
 
 

@@ -10,7 +10,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from . import cost, profit
 from ._integrate import adaptive_simpson
@@ -87,6 +86,8 @@ def _sample_demand(
         return lo + u * (hi - lo)
     if hi == lo:
         return np.full(n, m)
+    from scipy.special import ndtr, ndtri
+
     a = ndtr((lo - m) / demand_sigma)
     b = ndtr((hi - m) / demand_sigma)
     return m + demand_sigma * ndtri(a + u * (b - a))

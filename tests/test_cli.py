@@ -413,27 +413,26 @@ def test_sweep_deterministic_bytes(motivating_config, tmp_path, monkeypatch):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_sweep_with_peak_block(tmp_path):
-    p0 = 1.4 * 49.0
-    cfg = write_config(
-        tmp_path,
-        "peak.json",
-        {
-            "schema": 1,
-            "params": {"p0": p0, "k": 75.0, "c0": 11.0, "c_hat": 10.0, "N": 10},
-            "dist": {"means": [1.0, 2.0], "probs": [0.5, 0.5]},
-            "peak": {
-                "hours_per_slot": 168,
-                "p_energy": 49.0,
-                "p_demand": 5258.0,
-                "slot_means_low": [1.0, 2.0, 3.0, 4.0],
-                "slot_probs": [[0.5, 0.5], [0.6, 0.4], [0.55, 0.45], [0.5, 0.5]],
-                "mean_ratio": 2.0,
-                "trials": 4000,
-                "seed": 5,
-            },
+def _peak_scenario():
+    return {
+        "schema": 1,
+        "params": {"p0": 1.4 * 49.0, "k": 75.0, "c0": 11.0, "c_hat": 10.0, "N": 10},
+        "dist": {"means": [1.0, 2.0], "probs": [0.5, 0.5]},
+        "peak": {
+            "hours_per_slot": 168,
+            "p_energy": 49.0,
+            "p_demand": 5258.0,
+            "slot_means_low": [1.0, 2.0, 3.0, 4.0],
+            "slot_probs": [[0.5, 0.5], [0.6, 0.4], [0.55, 0.45], [0.5, 0.5]],
+            "mean_ratio": 2.0,
+            "trials": 4000,
+            "seed": 5,
         },
-    )
+    }
+
+
+def test_sweep_with_peak_block(tmp_path):
+    cfg = write_config(tmp_path, "peak.json", _peak_scenario())
     code, out = run_cli(["sweep", "--config", cfg, "--axis", "params.c_hat=5:25:3"])
     assert code == 0
     header, rows = parse_csv(out)
@@ -441,3 +440,37 @@ def test_sweep_with_peak_block(tmp_path):
     ratios = [float(r[i_peak]) for r in rows]
     assert all(v > 1.0 for v in ratios)
     assert ratios == sorted(ratios)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("slot_means_low", [1.0, "x", 3.0, 4.0], "'peak.slot_means_low[1]' must be a number"),
+        ("slot_probs", [[0.5, 0.5], [0.6, None], [0.5, 0.5], [0.5, 0.5]],
+         "'peak.slot_probs[1][1]' must be a number, got None"),
+        ("slot_means_low", [1.0, 2.0], "'peak.slot_probs' must be a list with one entry per"),
+        ("hours_per_slot", None, "missing required field 'peak.hours_per_slot'"),
+        ("slot_probs", None, "missing required field 'peak.slot_probs'"),
+        ("p_energy", INF, "'peak.p_energy' must be finite, got inf"),
+        ("mean_ratio", NAN, "'peak.mean_ratio' must be finite, got nan"),
+        ("slot_means_low", [1.0, INF, 3.0, 4.0], "invalid peak slot 1: means and probs finite"),
+        ("trials", "many", "'peak.trials' must be a number, got 'many'"),
+    ],
+    ids=[
+        "mean-text", "prob-null", "slot-count", "hours-missing", "probs-missing", "p_energy-inf",
+        "ratio-nan", "mean-inf", "trials-text",
+    ],
+)
+def test_bad_peak_block_is_a_config_error(tmp_path, capsys, key, value, message):
+    payload = _peak_scenario()
+    axis = ["--axis", "params.c_hat=5:10:2"]
+    if value is None:
+        del payload["peak"][key]
+    else:
+        payload["peak"][key] = value
+    code, out = run_cli(["sweep", "--config", write_config(tmp_path, "bad.json", payload), *axis])
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err and err.count("\n") == 1
+    assert "Traceback" not in err

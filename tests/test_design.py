@@ -338,21 +338,49 @@ def test_exact_ic_single_type_has_no_pairs():
     assert design.verify_ic(menu, params, dist) == (True, [])
 
 
-def test_auto_search_stops_at_the_tie_tolerance():
-    # no discount serves this instance: at every step above the tie tolerance
-    # the worst-case profit stays just below its vanishing-discount limit
-    # (0.0044 short at the last one); smaller steps tie every price with the
-    # baseline and are not tried
-    params = MarketParams(
-        p0=89.2942300900537, k=754.8933838803638, c0=11.34908618739162,
-        c_hat=4.2587557259157105, N=19,
-    )
-    dist = TypeDistribution(
-        (6.707674375458987, 44.659650176148986, 333.74706953299506, 1310.9971000558642,
-         6271.843865834133, 25660.2558130084),
-        (0.047272574091640304, 0.054444833431478205, 0.016506200882038368,
-         0.7720179679736191, 0.10971185163894842, 4.657198227560236e-05),
-    )
+# Two random market instances on which no grid discount meets the profit
+# condition: at every step above the tie tolerance the worst-case profit
+# stays just below its vanishing-discount limit (0.0044 short at the last one
+# for the first), though the last steps all pass the incentive check.
+STOPPING_RULE_NEVER_MET = [
+    (
+        MarketParams(
+            p0=89.2942300900537, k=754.8933838803638, c0=11.34908618739162,
+            c_hat=4.2587557259157105, N=19,
+        ),
+        TypeDistribution(
+            (6.707674375458987, 44.659650176148986, 333.74706953299506, 1310.9971000558642,
+             6271.843865834133, 25660.2558130084),
+            (0.047272574091640304, 0.054444833431478205, 0.016506200882038368,
+             0.7720179679736191, 0.10971185163894842, 4.657198227560236e-05),
+        ),
+        0.809,
+    ),
+    (
+        MarketParams(
+            p0=92.06795661419125, k=698.0702287392088, c0=21.163963616311875,
+            c_hat=7.446678937698552, N=10,
+        ),
+        TypeDistribution(
+            (7.2001834021956865, 32.66584979977163, 112.71578587229057),
+            (0.5810705365090596, 0.4187066261594719, 0.00022283733146842853),
+        ),
+        0.843,
+    ),
+]
+
+
+def test_auto_search_stops_at_the_tie_tolerance(monkeypatch):
+    # with no gain-ratio certificate to fall back on, the search gives up at
+    # the tie tolerance: smaller steps tie every price with the baseline and
+    # are not tried
+    params, dist, _ = STOPPING_RULE_NEVER_MET[0]
+    real_gain_ratio = profit.gain_ratio
+
+    def uncertified(*args):
+        return replace(real_gain_ratio(*args), gain_ratio=0.3)
+
+    monkeypatch.setattr(profit, "gain_ratio", uncertified)
     tie_tol = BehaviorMode.pessimistic(params).tie_tol
     with pytest.raises(ConvergenceError) as err:
         design.robust_contract(params, dist)
@@ -360,6 +388,24 @@ def test_auto_search_stops_at_the_tie_tolerance():
     assert tried == pytest.approx([params.p0 * 2.0**-t for t in range(25, 30)], rel=1e-3)
     assert all(e > tie_tol for e in tried)
     assert "incentive check failed" not in str(err.value)
+
+
+@pytest.mark.parametrize("params, dist, ratio", STOPPING_RULE_NEVER_MET, ids=["608-179", "609-358"])
+def test_auto_search_falls_back_to_smallest_certified_discount(params, dist, ratio):
+    mode = BehaviorMode.pessimistic(params)
+    grid = list(design._auto_discounts(params.p0, mode.tie_tol))
+    floor = profit.pessimistic_profit_limit(design.approx_menu(params, dist), params, dist)
+    for eps in grid[-5:]:
+        menu = design.approx_menu(params, dist, epsilon=eps)
+        assert design._ic_ok(menu, params, dist)
+        assert profit.total_profit(menu, params, dist, mode) < floor - 1e-9 * (1.0 + abs(floor))
+    out = design.robust_contract(params, dist)
+    assert out.epsilon == grid[-1]
+    assert out.ic_verified
+    assert out.menu == design.approx_menu(params, dist, epsilon=grid[-1])
+    assert out.report == profit.gain_ratio(out.menu, params, dist, mode)
+    assert out.report.gain_ratio == pytest.approx(ratio, abs=5e-4)
+    assert design.verify_ic(out.menu, params, dist)[0]
 
 
 # ---------------------------------------------------------------------------

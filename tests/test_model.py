@@ -105,3 +105,21 @@ def test_ppf_vectorizes():
     x = v.ppf(u)
     assert x.shape == u.shape
     assert np.all(np.diff(x) > 0)
+
+
+def test_truncated_normal_matches_scipy_expressions():
+    # the edge CDFs are computed once per instance and scipy is bound on first
+    # use; every value must keep the bits of the direct scipy expressions
+    from scipy.special import ndtr, ndtri
+
+    for mu in (-0.3, 0.0, 0.3, 0.5, 1.0, 1.3):
+        for sigma in (0.1, 0.2, 0.5, 1.0, 3.0):
+            v = VariationModel.truncated_normal(mu, sigma)
+            lo, hi = ndtr((0.0 - mu) / sigma), ndtr((1.0 - mu) / sigma)
+            assert repr(v.normaliser()) == repr(float(hi - lo))
+            for x in np.linspace(0.0, 1.0, 41)[1:-1].tolist():
+                expected = float((ndtr((x - mu) / sigma) - lo) / (hi - lo))
+                assert repr(v.cdf(x)) == repr(expected)
+                assert repr(v.ppf(x)) == repr(mu + sigma * ndtri(lo + x * (hi - lo)))
+            u = np.linspace(0.0, 1.0, 41)
+            assert np.array_equal(v.ppf(u), mu + sigma * ndtri(lo + u * (hi - lo)))
