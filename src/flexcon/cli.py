@@ -28,7 +28,6 @@ from .model import (
     BehaviorMode,
     ContractMenu,
     ContractOption,
-    EvaluationReport,
     MarketParams,
     TypeDistribution,
     VariationModel,
@@ -175,13 +174,6 @@ def parse_config(raw: dict) -> ScenarioConfig:
     )
     d = raw["dist"]
     probs = _numbers(d, "probs", "dist")
-    if "probs_renormalize" in d:
-        idx = _field(d, "probs_renormalize", "dist", int)
-        rest = sum(v for i, v in enumerate(probs) if i != idx)
-        target = 1.0 - probs[idx]
-        for i in range(len(probs)):
-            if i != idx:
-                probs[i] = probs[i] * target / rest if rest > 0 else target / (len(probs) - 1)
     dist = TypeDistribution(tuple(_numbers(d, "means", "dist")), tuple(probs))
 
     variation = _parse_variation(raw.get("variation", {"family": UNIFORM}))
@@ -310,6 +302,7 @@ def cmd_design(args) -> int:
     cfg = load_config(args.config)
     if args.method == "approx":
         out = design.approx_contract(cfg.params, cfg.dist)
+        design.check_floor(out, design.APPROX_FLOOR)
     elif args.method == "super":
         out = design.super_optimal(cfg.params, cfg.dist)
     elif args.method == "robust":
@@ -317,6 +310,8 @@ def cmd_design(args) -> int:
         if eps != AUTO and not (math.isfinite(eps) and eps > 0.0):
             raise ConfigError(f"'--epsilon' must be positive and finite, got {eps}")
         out = design.robust_contract(cfg.params, cfg.dist, eps)
+        if eps == AUTO:
+            design.check_floor(out, design.ROBUST_FLOOR)
     else:
         raise ConfigError(f"unknown design method '{args.method}'")
 
@@ -339,12 +334,14 @@ def cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
     if cfg.menu is None:
         raise ConfigError("evaluate requires an explicit 'menu' section")
-    p0_profit = profit.baseline_profit(cfg.params, cfg.dist)
-    menu_profit = _menu_profit(cfg)
+    if cfg.subscription == "full":
+        # every customer holds its own option and is provisioned at the band top
+        value = profit.full_subscription_profit(cfg.menu, cfg.params, cfg.dist)
+        caps = [opt.band_hi for opt in cfg.menu]
+    else:
+        value, caps = profit.evaluate_menu(cfg.menu, cfg.params, cfg.dist, cfg.mode, cfg.variation)
     top = profit.super_optimal_profit(cfg.params, cfg.dist)
-    ratio = profit.gain_share(menu_profit, p0_profit, top)
-    caps = profit.per_type_capacities(cfg.menu, cfg.params, cfg.dist, cfg.mode, cfg.variation)
-    report = EvaluationReport(p0_profit, menu_profit, top, ratio, tuple(caps), cfg.mode)
+    report = profit.evaluation_report(value, caps, cfg.params, cfg.dist, cfg.mode, top)
     header, row = _report_rows(report)
     _emit(header, [row], args.out)
     return EXIT_OK
@@ -439,7 +436,14 @@ def _set_path(raw: dict, path: str, value: float) -> None:
         ) from exc
     node[last] = int(round(value)) if path in _INT_PATHS else value
     if path.startswith("dist.probs["):
-        raw["dist"]["probs_renormalize"] = parts[-1]
+        # the other probabilities keep their proportions and make up the rest
+        probs = _number_list(node, "dist.probs")
+        rest = sum(v for i, v in enumerate(probs) if i != last)
+        target = 1.0 - probs[last]
+        for i in range(len(probs)):
+            if i != last:
+                probs[i] = probs[i] * target / rest if rest > 0 else target / (len(probs) - 1)
+        raw["dist"]["probs"] = probs
 
 
 def _parse_axis(spec: str) -> tuple[str, list[float]]:

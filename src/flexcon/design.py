@@ -34,6 +34,12 @@ AUTO = "auto"
 #: any fixed multiple above 1 works, 2k keeps audits simple.
 HIGH_PENALTY_FACTOR = 2.0
 
+#: certified gain-ratio floors: the approximate menu keeps half of the
+#: available gain in the optimistic mode, the AUTO robust menu a third in the
+#: pessimistic one (see check_floor); a fixed discount and `super` have none
+APPROX_FLOOR = 0.5
+ROBUST_FLOOR = 1.0 / 3.0
+
 
 class BoundViolationError(Exception):
     """A certified lower bound failed; indicates an implementation bug."""
@@ -134,7 +140,9 @@ def robust_contract(
             raise ValueError("the robust discount must be strictly positive")
         menu = approx_menu(params, dist, epsilon=eps)
         ok = _ic_ok(menu, params, dist)
-        report = _pessimistic_report(menu, params, dist, ic_holds=ok)
+        value, caps = pessimistic_evaluation(menu, params, dist, ic_holds=ok)
+        top = profit.super_optimal_profit(params, dist)
+        report = profit.evaluation_report(value, caps, params, dist, mode, top)
         return DesignOutput(menu, eps, ok, report)
 
     base = approx_menu(params, dist)
@@ -157,7 +165,7 @@ def robust_contract(
     # slack down to the tie tolerance. The certificate is the 1/3 gain ratio.
     for eps, menu in reversed(ic_passed):
         report = profit.gain_ratio(menu, params, dist, mode)
-        if report.gain_ratio is not None and report.gain_ratio >= 1.0 / 3.0:
+        if report.gain_ratio is not None and report.gain_ratio >= ROBUST_FLOOR:
             return DesignOutput(menu, eps, True, report)
     detail = "; ".join(f"eps={e:.3e}: {why}" for e, why in tried[-5:])
     raise ConvergenceError(
@@ -279,39 +287,44 @@ def verify_ic(
     return (not violations, violations)
 
 
+def pessimistic_evaluation(
+    menu: ContractMenu,
+    params: MarketParams,
+    dist: TypeDistribution,
+    variation: VariationModel = VariationModel.uniform(),
+    *,
+    ic_holds: bool | None = None,
+) -> tuple[float, list[float]]:
+    """Worst-case profit and per-type capacities with an incentive guard.
+
+    profit.evaluate_menu's piecewise forms assume no type strictly prefers a
+    foreign option below its threshold; when _ic_ok (or `ic_holds`, its result
+    if already known) fails, the choice profile is integrated instead.
+    """
+    mode = BehaviorMode.pessimistic(params)
+    if ic_holds is None:
+        ic_holds = _ic_ok(menu, params, dist)
+    if ic_holds:
+        return profit.evaluate_menu(menu, params, dist, mode, variation)
+    return profit._profit_by_integration(menu, params, dist, mode, variation)
+
+
 def pessimistic_profit(
     menu: ContractMenu,
     params: MarketParams,
     dist: TypeDistribution,
     variation: VariationModel = VariationModel.uniform(),
 ) -> float:
-    """Worst-case profit with an incentive guard.
-
-    The exact piecewise evaluation assumes no type strictly prefers a foreign
-    option below its threshold; when the incentive check fails (possible for
-    fixed large discounts), the per-variation choice profile is integrated
-    directly instead.
-    """
-    mode = BehaviorMode.pessimistic(params)
-    if _ic_ok(menu, params, dist):
-        return profit.total_profit(menu, params, dist, mode, variation)
-    return profit._profit_by_integration(menu, params, dist, mode, variation)
+    """Worst-case profit with an incentive guard (pessimistic_evaluation)."""
+    return pessimistic_evaluation(menu, params, dist, variation)[0]
 
 
-def _pessimistic_report(
-    menu: ContractMenu, params: MarketParams, dist: TypeDistribution, ic_holds: bool
-) -> EvaluationReport:
-    """profit.gain_ratio in the pessimistic mode; a menu that fails the
-    incentive check takes its profit and capacities from the choice profile."""
-    mode = BehaviorMode.pessimistic(params)
-    if ic_holds:
-        return profit.gain_ratio(menu, params, dist, mode)
-    value = profit._profit_by_integration(menu, params, dist, mode, VariationModel.uniform())
-    caps = profit.per_type_capacities(menu, params, dist, mode, tie_structure=False)
-    p0_profit = profit.baseline_profit(params, dist)
-    top = profit.super_optimal_profit(params, dist)
-    ratio = profit.gain_share(value, p0_profit, top)
-    return EvaluationReport(p0_profit, value, top, ratio, tuple(caps), mode)
+def check_floor(out: DesignOutput, floor: float) -> None:
+    """Raise BoundViolationError when a design's gain ratio falls more than
+    1e-9 below its certified floor (APPROX_FLOOR or ROBUST_FLOOR)."""
+    ratio = out.report.gain_ratio
+    if ratio is None or ratio < floor - 1e-9:
+        raise BoundViolationError(f"{out.report.mode.mode} gain ratio {ratio} fell below {floor:.6g}")
 
 
 def certify_bounds(params: MarketParams, dist: TypeDistribution) -> BoundCertificate:
@@ -324,10 +337,7 @@ def certify_bounds(params: MarketParams, dist: TypeDistribution) -> BoundCertifi
     """
     opt = approx_contract(params, dist)
     rob = robust_contract(params, dist, AUTO)
-    r_opt = opt.report.gain_ratio
-    r_pes = rob.report.gain_ratio
-    if r_opt is None or r_opt < 0.5 - 1e-9:
-        raise BoundViolationError(f"optimistic gain ratio {r_opt} fell below 1/2")
-    if r_pes is None or r_pes < 1.0 / 3.0 - 1e-9:
-        raise BoundViolationError(f"pessimistic gain ratio {r_pes} fell below 1/3")
+    check_floor(opt, APPROX_FLOOR)
+    check_floor(rob, ROBUST_FLOOR)
+    r_opt, r_pes = opt.report.gain_ratio, rob.report.gain_ratio
     return BoundCertificate(r_opt, r_pes, opt.menu, rob.menu, rob.epsilon)

@@ -18,7 +18,6 @@ from .model import (
     BehaviorMode,
     ContractMenu,
     ContractOption,
-    EvaluationReport,
     MarketParams,
     TypeDistribution,
     VariationModel,
@@ -105,12 +104,9 @@ def tn_variation_approx_contract(
     variation = VariationModel.truncated_normal(mu, sigma)
     menu = tn_variation_menu(params, dist, mu, sigma, epsilon)
     mode = BehaviorMode.pessimistic(params) if epsilon > 0.0 else BehaviorMode.optimistic(params)
-    p0_profit = profit.baseline_profit(params, dist)
-    value = profit.total_profit(menu, params, dist, mode, variation)
+    value, caps = profit.evaluate_menu(menu, params, dist, mode, variation)
     top = tn_variation_super_optimal_profit(params, dist, mu, sigma)
-    ratio = profit.gain_share(value, p0_profit, top)
-    caps = profit.per_type_capacities(menu, params, dist, mode, variation)
-    report = EvaluationReport(p0_profit, value, top, ratio, tuple(caps), mode)
+    report = profit.evaluation_report(value, caps, params, dist, mode, top)
     ok, _ = verify_ic(menu, params, dist)
     return DesignOutput(menu, epsilon, ok, report)
 

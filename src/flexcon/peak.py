@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import design, profit
-from .model import BehaviorMode, MarketParams, TypeDistribution, VariationModel
+from . import design
+from .model import MarketParams, TypeDistribution
 
 
 @dataclass(frozen=True)
@@ -127,12 +127,9 @@ def _flexible_supplier_profit(
     worst_capacity = 0.0
     for dist in model.per_slot_dist:
         menu = design.approx_menu(params, dist, epsilon=epsilon)
-        no_capacity = MarketParams(params.p0, params.k, params.c0, 0.0, params.N)
-        margin += design.pessimistic_profit(menu, no_capacity, dist)
-        caps = profit.per_type_capacities(
-            menu, params, dist, BehaviorMode.pessimistic(params), VariationModel.uniform()
-        )
+        value, caps = design.pessimistic_evaluation(menu, params, dist)
         expected = params.N * sum(h * c for h, c in zip(dist.probs, caps))
+        margin += value + params.c_hat * expected
         worst_capacity = max(worst_capacity, expected)
     return margin - params.c_hat * worst_capacity
 

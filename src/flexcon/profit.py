@@ -1,6 +1,7 @@
 """Supplier-side analytics: baseline profit, per-type contract profits in both
-penalty regimes, pessimistic worst-case capacities, menu totals under each
-behavior mode, and gain ratios against the super-optimal benchmark.
+penalty regimes, pessimistic worst-case capacities, menu profits and
+capacities under each behavior mode (one evaluator, evaluate_menu), and gain
+ratios against the super-optimal benchmark.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from ._integrate import ConvergenceError, bisect_root
 from .model import (
     BASELINE,
     OPTIMISTIC,
-    PESSIMISTIC,
     UNIFORM,
     BehaviorMode,
     ContractMenu,
@@ -188,12 +188,11 @@ def _pessimistic_analytic(
     params: MarketParams,
     dist: TypeDistribution,
     variation: VariationModel,
-    threshold_overrides: list[float] | None = None,
 ) -> tuple[float, list[float]]:
     total = 0.0
     caps = []
     for i, (m, h) in enumerate(zip(dist.means, dist.probs)):
-        d_th = threshold_overrides[i] if threshold_overrides else cost.threshold(menu[i], params)
+        d_th = cost.threshold(menu[i], params)
         cap = pessimistic_capacity(i, menu, params, dist, variation, threshold_override=d_th)
         f_sub = variation.cdf(d_th)
         revenue = m * (menu[i].p * f_sub + params.p0 * (1.0 - f_sub))
@@ -249,7 +248,10 @@ def profit_for_choice(
     m: float, delta_cust: float, choice: int, menu: ContractMenu, params: MarketParams
 ) -> float:
     """Supplier profit from one customer with the choice held fixed."""
-    acct = account_for_choice(m, delta_cust, choice, menu, params)
+    return _account_profit(account_for_choice(m, delta_cust, choice, menu, params), params)
+
+
+def _account_profit(acct: PerCustomerAccount, params: MarketParams) -> float:
     return acct.revenue - params.c0 * acct.energy - params.c_hat * acct.capacity
 
 
@@ -364,47 +366,43 @@ def variation_weight(variation: VariationModel):
     return lambda d: math.exp(-0.5 * ((d - variation.mu) / variation.sigma) ** 2) / z
 
 
-def _expected_over_spans(
-    value,
-    m: float,
-    menu: ContractMenu,
-    params: MarketParams,
-    mode: BehaviorMode,
-    variation: VariationModel,
-) -> float:
-    """Expectation of value(d, choice) over the variation degree of a type-m customer.
-
-    Ties are resolved exactly: the analytic equilibrium switches at
-    thresholds, not across a tie-tolerance window.
-    """
-    mode0 = BehaviorMode(mode.mode, 0.0)
-    pdf = None if variation.family == UNIFORM else variation_weight(variation)
-    acc = 0.0
-    for lo, hi in smooth_choice_spans(m, menu, params, mode0):
-        choice = cost.choose_option(m, 0.5 * (lo + hi), menu, params, mode0)
-        if pdf is None:
-            nodes, weights = _span_rule(lo, hi)
-            acc += sum(w * value(d, choice) for d, w in zip(nodes, weights))
-        else:
-            acc += _adaptive_gauss(lambda d: value(d, choice) * pdf(d), lo, hi)
-    return acc
-
-
 def _profit_by_integration(
     menu: ContractMenu,
     params: MarketParams,
     dist: TypeDistribution,
     mode: BehaviorMode,
     variation: VariationModel,
-) -> float:
+) -> tuple[float, list[float]]:
+    """Menu profit and per-type capacities integrated over the per-variation
+    choice profile, from one span scan per type.
+
+    Ties are resolved exactly: the analytic equilibrium switches at
+    thresholds, not across a tie-tolerance window.
+    """
+    mode0 = BehaviorMode(mode.mode, 0.0)
+    pdf = None if variation.family == UNIFORM else variation_weight(variation)
     total = 0.0
+    caps = []
     for m, h in zip(dist.means, dist.probs):
-        acc = _expected_over_spans(
-            lambda d, c: profit_for_choice(m, d, c, menu, params),
-            m, menu, params, mode, variation,
-        )
+        acc = cap = 0.0
+        for lo, hi in smooth_choice_spans(m, menu, params, mode0):
+            choice = cost.choose_option(m, 0.5 * (lo + hi), menu, params, mode0)
+            if pdf is None:
+                nodes, weights = _span_rule(lo, hi)
+                accts = [account_for_choice(m, d, choice, menu, params) for d in nodes]
+                acc += sum(w * _account_profit(a, params) for a, w in zip(accts, weights))
+                cap += sum(w * a.capacity for a, w in zip(accts, weights))
+            else:
+                acc += _adaptive_gauss(
+                    lambda d: profit_for_choice(m, d, choice, menu, params) * pdf(d), lo, hi
+                )
+                cap += _adaptive_gauss(
+                    lambda d: account_for_choice(m, d, choice, menu, params).capacity * pdf(d),
+                    lo, hi,
+                )
         total += params.N * h * acc
-    return total
+        caps.append(cap)
+    return total, caps
 
 
 def check_optimistic_variation(
@@ -418,6 +416,44 @@ def check_optimistic_variation(
         raise ValueError("low-penalty analytics require uniform variation")
 
 
+def evaluate_menu(
+    menu: ContractMenu,
+    params: MarketParams,
+    dist: TypeDistribution,
+    mode: BehaviorMode,
+    variation: VariationModel = VariationModel.uniform(),
+) -> tuple[float, list[float]]:
+    """Expected supplier profit of a whole menu under the given behavior mode,
+    and the expected provisioned capacity per type-i customer.
+
+    Optimistic values are the per-type regime closed forms. Pessimistic values
+    of equal-price high-penalty menus are exact piecewise evaluations (worst
+    ties resolved against the supplier), or flat pricing at a baseline price.
+    Other menus take _profit_by_integration: exact under uniform variation,
+    adaptive Gauss (ConvergenceError when out of depth) under truncated normal.
+    """
+    if mode.mode == OPTIMISTIC:
+        check_optimistic_variation(menu, params, variation)
+        total = 0.0
+        caps = []
+        for i, opt in enumerate(menu):
+            if cost.regime(opt, params.k) == cost.HIGH_PENALTY:
+                part = profit_high(i, opt, params, dist, variation)
+            else:
+                part = profit_low(i, opt, params, dist)
+            total += part.expected_profit
+            caps.append(part.capacity)
+        return total, caps
+
+    all_high = all(cost.regime(o, params.k) == cost.HIGH_PENALTY for o in menu)
+    if all_high and menu_prices_equal(menu, tol=mode.tie_tol):
+        if menu[0].p >= params.p0 - mode.tie_tol:
+            # baseline ties everywhere a contract would; the worst case is flat pricing
+            return baseline_profit(params, dist), [2.0 * dist.m_max] * len(menu)
+        return _pessimistic_analytic(menu, params, dist, variation)
+    return _profit_by_integration(menu, params, dist, mode, variation)
+
+
 def total_profit(
     menu: ContractMenu,
     params: MarketParams,
@@ -425,34 +461,19 @@ def total_profit(
     mode: BehaviorMode,
     variation: VariationModel = VariationModel.uniform(),
 ) -> float:
-    """Expected supplier profit from a whole menu under the given behavior mode.
+    """Expected supplier profit from a whole menu (evaluate_menu)."""
+    return evaluate_menu(menu, params, dist, mode, variation)[0]
 
-    Optimistic totals sum the per-type regime closed forms. Pessimistic totals
-    use exact piecewise evaluation for equal-price high-penalty menus (worst
-    ties resolved against the supplier, baseline included). Other menus are
-    integrated over the per-variation choice profile span by span: exactly
-    under uniform variation (the three-node ``_span_rule``), by adaptive Gauss
-    under truncated-normal variation, which raises ConvergenceError if it runs
-    out of depth.
-    """
-    if mode.mode == OPTIMISTIC:
-        check_optimistic_variation(menu, params, variation)
-        total = 0.0
-        for i, opt in enumerate(menu):
-            if cost.regime(opt, params.k) == cost.HIGH_PENALTY:
-                total += profit_high(i, opt, params, dist, variation).expected_profit
-            else:
-                total += profit_low(i, opt, params, dist).expected_profit
-        return total
 
-    all_high = all(cost.regime(o, params.k) == cost.HIGH_PENALTY for o in menu)
-    if all_high and menu_prices_equal(menu, tol=mode.tie_tol):
-        price = menu[0].p
-        if price >= params.p0 - mode.tie_tol:
-            # baseline ties everywhere a contract would; the worst case is flat pricing
-            return baseline_profit(params, dist)
-        return _pessimistic_analytic(menu, params, dist, variation)[0]
-    return _profit_by_integration(menu, params, dist, mode, variation)
+def per_type_capacities(
+    menu: ContractMenu,
+    params: MarketParams,
+    dist: TypeDistribution,
+    mode: BehaviorMode,
+    variation: VariationModel = VariationModel.uniform(),
+) -> list[float]:
+    """Expected provisioned capacity per type-i customer (evaluate_menu)."""
+    return evaluate_menu(menu, params, dist, mode, variation)[1]
 
 
 # ----------------------------------------------------------------------------
@@ -513,62 +534,29 @@ def gain_ratio(
     constrained optimum. Under truncated-normal variation it is no bound, and
     the ratio can exceed 1.
     """
+    value, caps = evaluate_menu(menu, params, dist, mode, variation)
+    return evaluation_report(value, caps, params, dist, mode, super_optimal_profit(params, dist))
+
+
+def evaluation_report(
+    value: float,
+    caps,
+    params: MarketParams,
+    dist: TypeDistribution,
+    mode: BehaviorMode,
+    top: float,
+) -> EvaluationReport:
+    """The report of a menu with profit `value` and per-type capacities `caps`,
+    measured against the flat-pricing baseline and the benchmark profit `top`."""
     p0_profit = baseline_profit(params, dist)
-    menu_value = total_profit(menu, params, dist, mode, variation)
-    top = super_optimal_profit(params, dist)
-    ratio = gain_share(menu_value, p0_profit, top)
-    caps = per_type_capacities(menu, params, dist, mode, variation)
-    return EvaluationReport(p0_profit, menu_value, top, ratio, tuple(caps), mode)
+    ratio = gain_share(value, p0_profit, top)
+    return EvaluationReport(p0_profit, value, top, ratio, tuple(caps), mode)
 
 
 def gain_share(value: float, baseline: float, top: float) -> float | None:
     """(value - baseline) / (top - baseline): the share of the gain over the
     baseline that a profit captures; None when top <= baseline."""
     return (value - baseline) / (top - baseline) if top > baseline else None
-
-
-def per_type_capacities(
-    menu: ContractMenu,
-    params: MarketParams,
-    dist: TypeDistribution,
-    mode: BehaviorMode,
-    variation: VariationModel = VariationModel.uniform(),
-    tie_structure: bool | None = None,
-) -> list[float]:
-    """Expected provisioned capacity per type-i customer under the given mode.
-
-    Pessimistic capacities of menus outside the equal-price high-penalty shape
-    integrate the choice profile span by span, exactly under uniform variation
-    (the three-node ``_span_rule``) and by adaptive Gauss otherwise.
-    tie_structure=False forces that integration (needed when the menu shape
-    looks tie-based but incentives fail).
-    """
-    all_high = all(cost.regime(o, params.k) == cost.HIGH_PENALTY for o in menu)
-    tie_shaped = all_high and menu_prices_equal(menu, tol=mode.tie_tol)
-    if tie_structure is False:
-        tie_shaped = False
-    caps = []
-    for i, opt in enumerate(menu):
-        if mode.mode == PESSIMISTIC:
-            if tie_shaped:
-                if menu[0].p >= params.p0 - mode.tie_tol:
-                    caps.append(2.0 * dist.m_max)
-                else:
-                    caps.append(pessimistic_capacity(i, menu, params, dist, variation))
-            else:
-                m = dist.means[i]
-                caps.append(
-                    _expected_over_spans(
-                        lambda d, c: account_for_choice(m, d, c, menu, params).capacity,
-                        m, menu, params, mode, variation,
-                    )
-                )
-            continue
-        if cost.regime(opt, params.k) == cost.HIGH_PENALTY:
-            caps.append(profit_high(i, opt, params, dist, variation).capacity)
-        else:
-            caps.append(profit_low(i, opt, params, dist).capacity)
-    return caps
 
 
 def crossover_capacity_cost(

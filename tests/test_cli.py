@@ -2,6 +2,7 @@ import csv
 import io
 import json
 from contextlib import redirect_stdout
+from dataclasses import replace
 
 import pytest
 
@@ -124,6 +125,23 @@ def test_evaluate_motivating_example(motivating_config):
     row = dict(zip(header, rows[0]))
     assert float(row["baseline_profit"]) == pytest.approx(3.6, rel=1e-12)
     assert float(row["menu_profit"]) == pytest.approx(7.08, rel=1e-12)
+
+
+def test_full_subscription_capacities_are_the_band_tops(motivating_config):
+    with open(motivating_config) as fh:
+        raw = json.load(fh)
+    code, out = run_cli(["evaluate", "--config", motivating_config])
+    assert code == 0
+    header, rows = parse_csv(out)
+    row = dict(zip(header, rows[0]))
+    p, dist, options = raw["params"], raw["dist"], raw["menu"]["options"]
+    caps = [float(row[f"capacity_{i}"]) for i in range(len(options))]
+    assert caps == [o["center"] * (1.0 + o["delta"]) for o in options]
+    booked = sum(
+        p["N"] * h * (m * o["p"] - p["c0"] * m - p["c_hat"] * cap)
+        for m, h, o, cap in zip(dist["means"], dist["probs"], options, caps)
+    )
+    assert float(row["menu_profit"]) == pytest.approx(booked, rel=1e-12)
 
 
 def test_evaluate_requires_menu(two_type_config):
@@ -309,6 +327,53 @@ def test_bad_robust_discount_is_a_config_error(two_type_config, capsys, epsilon)
     assert out == ""
     err = capsys.readouterr().err
     assert err.startswith("config error: '--epsilon' must be") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "method, target",
+    [(["--method", "approx"], "approx_contract"), (["--method", "robust"], "robust_contract")],
+)
+def test_design_below_its_certified_floor_exits_3(
+    two_type_config, capsys, monkeypatch, method, target
+):
+    real = getattr(cli.design, target)
+
+    def below_floor(*args):
+        out = real(*args)
+        return replace(out, report=replace(out.report, gain_ratio=0.3))
+
+    monkeypatch.setattr(cli.design, target, below_floor)
+    code, out = run_cli(["design", *method, "--config", two_type_config])
+    assert code == cli.EXIT_BOUND
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("bound violation: ") and err.count("\n") == 1
+
+
+def test_fixed_robust_discount_and_super_have_no_floor(two_type_config, monkeypatch):
+    for target in ("robust_contract", "super_optimal"):
+        real = getattr(cli.design, target)
+
+        def below_floor(*args, real=real):
+            out = real(*args)
+            return replace(out, report=replace(out.report, gain_ratio=0.1))
+
+        monkeypatch.setattr(cli.design, target, below_floor)
+    argv = ["design", "--method", "robust", "--epsilon", "0.5", "--config", two_type_config]
+    assert run_cli(argv)[0] == 0
+    assert run_cli(["design", "--method", "super", "--config", two_type_config])[0] == 0
+
+
+def test_probs_renormalize_is_not_a_config_field(tmp_path, capsys):
+    payload = {
+        "schema": 1,
+        "params": {"p0": 10.0, "k": 20.0, "c0": 1.0, "c_hat": 2.0, "N": 1},
+        "dist": {"means": [1.0, 1.2], "probs": [0.3, 0.3], "probs_renormalize": 0},
+    }
+    code, out = run_cli(["design", "--config", write_config(tmp_path, "renorm.json", payload)])
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert "sum(probs) == 1" in capsys.readouterr().err
 
 
 def test_simulate_reports_pass_flag(sim_config):

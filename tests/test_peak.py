@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import make_rng
-from flexcon import peak
-from flexcon.model import MarketParams, TypeDistribution
+from flexcon import design, peak, profit
+from flexcon.model import BehaviorMode, MarketParams, TypeDistribution, VariationModel
 
 
 def reference_slot_model(p_demand=5258.0):
@@ -114,3 +114,32 @@ def test_compare_profits_rows_are_plain_floats():
     params = MarketParams(p0=p0, k=75.0, c0=11.0, c_hat=10.0, N=10)
     rows = peak.compare_profits(model, params, 0.1 * p0, [10.0], [2.0], trials=2000, seed=3)
     assert all(type(v) is float for row in rows for v in row.values())
+
+
+def test_flexible_profit_integrates_a_slot_that_fails_the_incentive_check():
+    p0 = 1.4 * 49.0
+    params = MarketParams(p0=p0, k=1.1 * p0, c0=0.2 * p0, c_hat=10.0, N=10)
+    eps = 0.1 * p0
+    failing = TypeDistribution((1.0, 2.0), (0.5, 0.5))
+    passing = TypeDistribution((0.5, 1.5), (0.5, 0.5))
+    model = peak.SlotModel(168, (failing, passing), p_energy=49.0, p_demand=5258.0)
+    mode = BehaviorMode.pessimistic(params)
+    margin, needs = 0.0, []
+    for dist in model.per_slot_dist:
+        menu = design.approx_menu(params, dist, epsilon=eps)
+        value, caps = profit._profit_by_integration(
+            menu, params, dist, mode, VariationModel.uniform()
+        )
+        need = params.N * sum(h * c for h, c in zip(dist.probs, caps))
+        margin += value + params.c_hat * need
+        needs.append(need)
+        tie_caps = profit.per_type_capacities(menu, params, dist, mode)
+        if dist is failing:
+            assert not design._ic_ok(menu, params, dist)
+            # the tie-based capacities overstate what the choice profile needs
+            assert params.N * sum(h * c for h, c in zip(dist.probs, tie_caps)) > need + 0.5
+        else:
+            assert design._ic_ok(menu, params, dist)
+    assert needs[0] > needs[1]  # the failing slot sizes the shared capacity
+    expected = margin - params.c_hat * max(needs)
+    assert peak._flexible_supplier_profit(model, params, eps) == pytest.approx(expected, rel=1e-12)

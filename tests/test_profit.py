@@ -454,7 +454,7 @@ def test_profit_by_integration_matches_quadrature(behavior):
     for params, dist, menu in _span_rule_cases(22, 4):
         mode = BehaviorMode(behavior, 1e-9 * params.p0)
         revenue = params.N * sum(h * m * params.p0 for m, h in zip(dist.means, dist.probs))
-        value = profit._profit_by_integration(menu, params, dist, mode, VariationModel.uniform())
+        value = profit._profit_by_integration(menu, params, dist, mode, VariationModel.uniform())[0]
         numeric = oracle.quadrature_profit(menu, params, dist, mode)
         assert value == pytest.approx(numeric, abs=1e-10 * revenue)
 
@@ -464,9 +464,7 @@ def test_span_rule_capacities_match_dense_grid():
     grid = (np.arange(cells) + 0.5) / cells
     for params, dist, menu in _span_rule_cases(23, 3):
         mode = BehaviorMode.pessimistic(params)
-        caps = profit.per_type_capacities(
-            menu, params, dist, mode, VariationModel.uniform(), tie_structure=False
-        )
+        caps = profit._profit_by_integration(menu, params, dist, mode, VariationModel.uniform())[1]
         mode0 = BehaviorMode(mode.mode, 0.0)
         for m, cap in zip(dist.means, caps):
             dense = np.mean([
@@ -478,6 +476,27 @@ def test_span_rule_capacities_match_dense_grid():
             # capacity is constant on each span, so only the cells holding a switch err
             switches = len(profit.smooth_choice_spans(m, menu, params, mode0))
             assert cap == pytest.approx(dense, abs=switches * 2.0 * dist.m_max / cells)
+
+
+def test_gain_ratio_total_and_capacities_read_one_evaluation():
+    variations = (VariationModel.uniform(), VariationModel.truncated_normal(0.3, 0.4))
+    checked = 0
+    for params, dist, menu in _span_rule_cases(24, 4):
+        for variation in variations:
+            for mode in (BehaviorMode.optimistic(params), BehaviorMode.pessimistic(params)):
+                args = (menu, params, dist, mode, variation)
+                try:
+                    report = profit.gain_ratio(*args)
+                except ValueError:  # optimistic low-penalty analytics need uniform variation
+                    with pytest.raises(ValueError):
+                        profit.total_profit(*args)
+                    with pytest.raises(ValueError):
+                        profit.per_type_capacities(*args)
+                    continue
+                assert report.menu_profit == profit.total_profit(*args)
+                assert report.per_type_capacity == tuple(profit.per_type_capacities(*args))
+                checked += 1
+    assert checked >= 56, checked
 
 
 def test_adaptive_gauss_raises_when_depth_runs_out():
