@@ -211,3 +211,10 @@ def cross_cost_case(deltas, m, delta_j, center_j):
                          center_j * (1.0 + delta_j))
     # the first case that holds; the upper straddle when none does
     return np.argmax(np.stack([*cases, np.ones_like(cases[0])]), axis=0)
+
+
+def quadratic_roots(a, b, c):
+    """Both roots of a*d**2 + b*d + c = 0 (NaN or inf where absent) and the discriminant."""
+    disc = b * b - 4.0 * a * c
+    t = -0.5 * (b + np.copysign(np.sqrt(disc), b))
+    return t / a, c / t, disc

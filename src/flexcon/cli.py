@@ -505,6 +505,8 @@ def cmd_sweep(args) -> int:
     axes = [_parse_axis(spec) for spec in (args.axis or [])]
     if len(axes) > 2:
         raise ConfigError("at most two sweep axes are supported")
+    if sum(path.startswith("dist.probs[") for path, _ in axes) > 1:
+        raise ConfigError("at most one dist.probs axis: each rescales the other probabilities")
     for path, _ in axes:
         _set_path(copy.deepcopy(cfg.raw), path, 0.0)  # path check up front
 

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import profit
 from ._integrate import ConvergenceError
-from ._kernels import cross_cost_case, cross_cost_table, own_cost_piece, own_cost_table
+from ._kernels import (cross_cost_case, cross_cost_table, own_cost_piece, own_cost_table,
+                       quadratic_roots)
 from .model import (
     BehaviorMode,
     ContractMenu,
@@ -147,24 +148,25 @@ def robust_contract(
 
     base = approx_menu(params, dist)
     floor = profit.pessimistic_profit_limit(base, params, dist)
+    top = profit.super_optimal_profit(params, dist)
     tried: list[tuple[float, str]] = []
-    ic_passed: list[tuple[float, ContractMenu]] = []
+    ic_passed: list[tuple[float, ContractMenu, float, list[float]]] = []
     for eps in _auto_discounts(params.p0, mode.tie_tol):
         menu = approx_menu(params, dist, epsilon=eps)
         if not _ic_ok(menu, params, dist):
             tried.append((eps, "incentive check failed"))
             continue
-        value = profit.total_profit(menu, params, dist, mode)
+        value, caps = profit.evaluate_menu(menu, params, dist, mode)
         if value >= floor - 1e-9 * (1.0 + abs(floor)):
-            report = profit.gain_ratio(menu, params, dist, mode)
+            report = profit.evaluation_report(value, caps, params, dist, mode, top)
             return DesignOutput(menu, eps, True, report)
-        ic_passed.append((eps, menu))
+        ic_passed.append((eps, menu, value, caps))
         tried.append((eps, f"worst-case profit {value:.12g} below limit {floor:.12g}"))
     # The profit condition is numerical: the worst-case profit approaches its
     # vanishing-discount limit linearly in eps and can stay below the rounding
     # slack down to the tie tolerance. The certificate is the 1/3 gain ratio.
-    for eps, menu in reversed(ic_passed):
-        report = profit.gain_ratio(menu, params, dist, mode)
+    for eps, menu, value, caps in reversed(ic_passed):
+        report = profit.evaluation_report(value, caps, params, dist, mode, top)
         if report.gain_ratio is not None and report.gain_ratio >= ROBUST_FLOOR:
             return DesignOutput(menu, eps, True, report)
     detail = "; ".join(f"eps={e:.3e}: {why}" for e, why in tried[-5:])
@@ -238,9 +240,7 @@ def _worst_gaps(menu: ContractMenu, params: MarketParams, dist: TypeDistribution
 
     with np.errstate(divide="ignore", invalid="ignore"):
         # both roots of A*d**2 + (C - cap)*d + B = 0 (NaN or inf when absent)
-        lin = c_ - cap
-        t = -0.5 * (lin + np.copysign(np.sqrt(lin * lin - 4.0 * a_ * b_), lin))
-        roots = _clip(np.concatenate([t / a_, b_ / t]), lo, hi)
+        roots = _clip(np.concatenate(quadratic_roots(a_, c_ - cap, b_)[:2]), lo, hi)
         sub = np.sort(np.concatenate([lo[None], roots, hi[None]]), axis=0)
         a, b = sub[:-1], sub[1:]
         stationary = np.sqrt(np.concatenate([b_ / a_, [(b_[0] - b_[1]) / (a_[0] - a_[1])]]))

@@ -315,9 +315,9 @@ def quadrature_profit(
 ) -> float:
     """Adaptive-Simpson integration of the per-variation supplier profit.
 
-    Splits each type's variation axis at analytic breakpoints and located
-    choice switches, then integrates the smooth pieces; tolerances scale with
-    the per-type revenue magnitude so large-money instances stay reachable.
+    Integrates on the production choice spans (profit.smooth_choice_spans), so
+    it checks the span rule but not the span cuts; tolerances scale with the
+    per-type revenue magnitude so large-money instances stay reachable.
     """
     mode0 = BehaviorMode(mode.mode, 0.0)  # exact tie resolution, as in the closed forms
     pdf = profit.variation_weight(variation)

@@ -13,6 +13,8 @@ import numpy as np
 
 from . import cost
 from ._integrate import ConvergenceError, bisect_root
+from ._kernels import (cross_cost_case, cross_cost_table, own_cost_piece, own_cost_table,
+                       quadratic_roots)
 from .model import (
     BASELINE,
     OPTIMISTIC,
@@ -225,11 +227,11 @@ def pessimistic_profit_limit(
 
 # ----------------------------------------------------------------------------
 # per-variation integration over choice spans (menus outside the equal-price
-# high-penalty shape). The choice is fixed on each span of smooth_choice_spans
-# and the span ends include every band and case boundary, so a fixed-choice
-# profit is exactly A*d + B/d + C there; under uniform variation the
-# three-node _span_rule integrates it exactly. Truncated-normal weights use
-# adaptive Gauss.
+# high-penalty shape). smooth_choice_spans cuts exactly: at every band and case
+# boundary and at every crossing of two choices' cost curves, so the choice is
+# fixed on each span and its profit is exactly A*d + B/d + C there; under
+# uniform variation the three-node _span_rule integrates it exactly.
+# Truncated-normal weights use adaptive Gauss.
 # ----------------------------------------------------------------------------
 
 
@@ -255,62 +257,49 @@ def _account_profit(acct: PerCustomerAccount, params: MarketParams) -> float:
     return acct.revenue - params.c0 * acct.energy - params.c_hat * acct.capacity
 
 
-def variation_breakpoints(m: float, menu: ContractMenu, params: MarketParams) -> list[float]:
-    """Variation values where a type-m customer's cost curves change regime."""
-    pts = {0.0, 1.0}
-    for opt in menu:
-        cand = [
-            1.0 - opt.band_lo / m,
-            opt.band_lo / m - 1.0,
-            opt.band_hi / m - 1.0,
-            1.0 - opt.band_hi / m,
-            cost.threshold(opt, params),
-        ]
-        if opt.center == m:
-            cand.append(opt.delta)
-        for v in cand:
-            if 0.0 < v < 1.0:
-                pts.add(v)
-    return sorted(pts)
-
-
 def smooth_choice_spans(
-    m: float,
-    menu: ContractMenu,
-    params: MarketParams,
-    mode: BehaviorMode,
-    scan: int = 17,
+    m: float, menu: ContractMenu, params: MarketParams, mode: BehaviorMode
 ) -> list[tuple[float, float]]:
     """Split [0, 1] into spans on which a type-m customer's choice is constant.
 
-    Spans between analytic breakpoints are scanned at cell midpoints; any
-    residual switch (a cost-curve crossing) is pinned down by bisection.
+    The span ends are the demand-range/band case boundaries, where a cost or
+    profit curve changes formula, and the choice switches. Between boundaries
+    each choice costs A*d + B/d + C (the _kernels tables; m*p0 for the
+    baseline), so a switch lies on a root of a pairwise difference
+    dA*d**2 + dC*d + dB. Each interval is cut at those roots, bar double roots
+    (a discriminant zero up to rounding: the curves touch), choose_option picks
+    once per piece, and equal neighbours merge inside an interval only.
     """
+    center, delta, p_bar, p = np.array([(o.center, o.delta, o.p_bar, o.p) for o in menu]).T
+    lo_b, hi_b = center * (1.0 - delta) / m, center * (1.0 + delta) / m
+    cand = [[0.0, 1.0], 1.0 - lo_b, lo_b - 1.0, hi_b - 1.0, 1.0 - hi_b, delta[center == m]]
+    ends = np.unique(np.clip(np.concatenate(cand), 0.0, 1.0))
+    mid = 0.5 * (ends[:-1] + ends[1:])[:, None]
+    col = np.arange(len(menu))
+    own = own_cost_table(m, p, delta, p_bar, params.k)[col, own_cost_piece(mid, delta)]
+    cross = cross_cost_table(m, p, delta, p_bar, center, params.k)
+    cross = cross[col, cross_cost_case(mid, m, delta, center)]
+    base = np.broadcast_to([0.0, 0.0, m * params.p0], (len(mid), 1, 3))
+    coef = np.concatenate([base, np.where((center == m)[:, None], own, cross)], axis=1)
+    u, v = np.triu_indices(len(menu) + 1, 1)
+    da, db, dc = np.moveaxis(coef[:, u] - coef[:, v], -1, 0)
+    sa, sb, sc = np.moveaxis(abs(coef[:, u]) + abs(coef[:, v]), -1, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r0, r1, disc = quadratic_roots(da, dc, db)
+    # a disc within 32 times its first-order rounding error is zero: a double root
+    slack = 64.0 * np.finfo(float).eps * (abs(dc) * sc + 2.0 * (abs(da) * sb + abs(db) * sa))
+    roots = np.where((disc <= slack)[..., None], np.nan, np.stack([r0, r1], axis=-1))
 
-    def choice_at(d):
-        return cost.choose_option(m, d, menu, params, mode)
-
-    spans = []
-    bps = variation_breakpoints(m, menu, params)
-    for a, b in zip(bps, bps[1:]):
-        mids = [a + (b - a) * (t + 0.5) / scan for t in range(scan)]
-        start = a
-        prev = choice_at(mids[0])
-        for t in range(1, scan):
-            cur = choice_at(mids[t])
-            if cur != prev:
-                lo, hi = mids[t - 1], mids[t]
-                while hi - lo > 1e-12 * (1.0 + hi):
-                    mid = 0.5 * (lo + hi)
-                    if choice_at(mid) == prev:
-                        lo = mid
-                    else:
-                        hi = mid
-                cut = 0.5 * (lo + hi)
-                spans.append((start, cut))
-                start, prev = cut, cur
-        spans.append((start, b))
-    return [(a, b) for a, b in spans if b > a]
+    spans: list[tuple[float, float]] = []
+    for lo, hi, r in zip(ends[:-1].tolist(), ends[1:].tolist(), roots):
+        pts = [lo, *np.unique(r[(r > lo) & (r < hi)]).tolist(), hi]
+        prev = None
+        for a, b in zip(pts, pts[1:]):
+            choice = cost.choose_option(m, 0.5 * (a + b), menu, params, mode)
+            if choice != prev:
+                spans.append((a, b))
+            spans[-1], prev = (spans[-1][0], b), choice  # the current span reaches b
+    return spans
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)

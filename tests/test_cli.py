@@ -461,6 +461,60 @@ def test_sweep_without_axes_equals_evaluate(motivating_config):
     assert sweep_rows[0][:4] == eval_rows[0][:4]
 
 
+def test_two_axis_sweep_rows_follow_axis_order_and_equal_evaluate(motivating_config, tmp_path):
+    axes = ["params.c_hat=0.05:0.15:2", "params.k=1.2:1.6:2"]
+    code, out = run_cli(["sweep", "--config", motivating_config, "--axis", axes[0], "--axis", axes[1]])
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert header[:2] == ["params.c_hat", "params.k"]
+    cells = [(c_hat, k) for c_hat in (0.05, 0.15) for k in (1.2, 1.6)]
+    assert [(float(r[0]), float(r[1])) for r in rows] == pytest.approx(cells, rel=1e-12)
+    with open(motivating_config) as fh:
+        payload = json.load(fh)
+    for row in rows:
+        payload["params"].update({"c_hat": float(row[0]), "k": float(row[1])})
+        code, out = run_cli(["evaluate", "--config", write_config(tmp_path, "cell.json", payload)])
+        assert code == 0
+        assert row[2:6] == parse_csv(out)[1][0][:4]
+
+
+def test_two_probability_axes_are_a_config_error(tmp_path, capsys):
+    payload = {
+        "schema": 1,
+        "params": {"p0": 10.0, "k": 20.0, "c0": 1.0, "c_hat": 2.0, "N": 1},
+        "dist": {"means": [1.0, 1.2, 1.5], "probs": [0.3, 0.3, 0.4]},
+    }
+    cfg = write_config(tmp_path, "three.json", payload)
+    axes = ["--axis", "dist.probs[0]=0.1:0.2:2", "--axis", "dist.probs[1]=0.1:0.2:2"]
+    code, out = run_cli(["sweep", "--config", cfg, *axes])
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("config error: at most one dist.probs axis") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("axis", ["params.k=1:2", "params.k=1:2:0", "params.k", "params.k=a:2:3"])
+def test_malformed_sweep_axis_is_a_config_error(motivating_config, capsys, axis):
+    code, out = run_cli(["sweep", "--config", motivating_config, "--axis", axis])
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_numerical_failure_exits_4(two_type_config, capsys, monkeypatch):
+    def no_convergence(*args):
+        raise cli.ConvergenceError("adaptive Gauss did not converge")
+
+    monkeypatch.setattr(cli.design, "robust_contract", no_convergence)
+    code, out = run_cli(["design", "--method", "robust", "--config", two_type_config])
+    assert code == cli.EXIT_NUMERIC
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err == "numerical failure: adaptive Gauss did not converge\n"
+    assert "Traceback" not in err
+
+
 def test_sweep_unknown_field_lists_valid_paths(motivating_config, capsys):
     code, _ = run_cli(["sweep", "--config", motivating_config, "--axis", "params.bogus=0:1:3"])
     assert code == cli.EXIT_CONFIG

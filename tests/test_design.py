@@ -375,12 +375,12 @@ def test_auto_search_stops_at_the_tie_tolerance(monkeypatch):
     # the tie tolerance: smaller steps tie every price with the baseline and
     # are not tried
     params, dist, _ = STOPPING_RULE_NEVER_MET[0]
-    real_gain_ratio = profit.gain_ratio
+    real_report = profit.evaluation_report
 
     def uncertified(*args):
-        return replace(real_gain_ratio(*args), gain_ratio=0.3)
+        return replace(real_report(*args), gain_ratio=0.3)
 
-    monkeypatch.setattr(profit, "gain_ratio", uncertified)
+    monkeypatch.setattr(profit, "evaluation_report", uncertified)
     tie_tol = BehaviorMode.pessimistic(params).tie_tol
     with pytest.raises(ConvergenceError) as err:
         design.robust_contract(params, dist)

@@ -499,6 +499,54 @@ def test_gain_ratio_total_and_capacities_read_one_evaluation():
     assert checked >= 56, checked
 
 
+def _late_switch_case():
+    """A pessimistic market with unequal prices and low penalties: type 0 moves
+    from option 0 to option 2 at d ~ 0.98868, in the last 1/34 of its last
+    breakpoint interval [0.5842, 1], where no midpoint of a 17-cell scan lies."""
+    params = MarketParams(
+        p0=49.504150590533996, k=450.42655132252094, c0=13.39296088059604,
+        c_hat=14.078783671704329, N=7,
+    )
+    dist = TypeDistribution(
+        (7.555137736812442, 9.701766067057452, 56.93746939365793),
+        (0.6606165620125783, 0.2107360337368767, 0.12864740425054494),
+    )
+    prices = (36.98081023343361, 34.80318537259689, 43.3518813436096)
+    deltas = (0.5841513618186014, 0.02768754272576368, 0.92968430393)
+    menu = ContractMenu(
+        tuple(opt(p, d, 225.21327566126047, m) for p, d, m in zip(prices, deltas, dist.means))
+    )
+    return params, dist, menu
+
+
+def test_choice_spans_find_a_switch_near_an_interval_end():
+    from flexcon._integrate import adaptive_simpson
+
+    params, dist, menu = _late_switch_case()
+    mode = BehaviorMode.pessimistic(params)
+    mode0 = BehaviorMode(mode.mode, 0.0)
+    # reference: the pointwise choice integrated over [0, 1] with no spans at all
+    reference = 0.0
+    for m, h in zip(dist.means, dist.probs):
+        def pointwise(d, m=m):
+            return profit.profit_for_choice(
+                m, d, cost.choose_option(m, d, menu, params, mode0), menu, params
+            )
+
+        tol = 1e-12 * (1.0 + m * params.p0)
+        reference += params.N * h * adaptive_simpson(pointwise, 0.0, 1.0, tol=tol)
+    revenue = params.N * sum(h * m * params.p0 for m, h in zip(dist.means, dist.probs))
+    assert revenue == pytest.approx(4976.302, abs=1e-3)
+    assert profit.total_profit(menu, params, dist, mode) == pytest.approx(
+        reference, abs=1e-9 * revenue
+    )
+    m0 = dist.means[0]
+    (lo0, hi0), (lo, hi) = profit.smooth_choice_spans(m0, menu, params, mode0)[-2:]
+    assert hi0 == lo == pytest.approx(0.98868, abs=1e-5) and hi == 1.0
+    assert cost.choose_option(m0, 0.5 * (lo0 + hi0), menu, params, mode0) == 0
+    assert cost.choose_option(m0, 0.5 * (lo + hi), menu, params, mode0) == 2
+
+
 def test_adaptive_gauss_raises_when_depth_runs_out():
     def step(d):
         return 0.0 if d < 1.0 / 3.0 else 1.0
